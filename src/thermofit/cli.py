@@ -233,24 +233,16 @@ def _cmd_fit(args) -> int:
         weights = Weights.from_sigma([args.sigma] * ts.n)
     report = fit_series(ts, smoothing=smoothing, cfg=_lm_config(args),
                         weights=weights, p0=p0)
-    _emit_artifacts(args, ts, report, smoothing)
+    if args.output:
+        _emit_artifacts(args.output, ts, report)
     print(_render(report_dict(report), args.format))
     return EXIT_OK
 
 
-def _emit_artifacts(args, ts, report, smoothing, outdir: Path | None = None):
-    if not args.output and outdir is None:
-        return
-    smoothed = sg_smooth(ts.y, smoothing) if smoothing else ts.y
+def _emit_artifacts(path, ts, report):
+    """Write the overlay of the raw series, the fitted target and the fit."""
     fitted = ExponentialStepModel().predict(ts.t, report.result.params)
-    if outdir is None:
-        write_overlay(args.output, ts.t, ts.y, smoothed, fitted)
-        return
-    write_csv(outdir / "smoothed.csv", TimeSeries(ts.t, smoothed, ts.rate))
-    write_overlay(outdir / "overlay.csv", ts.t, ts.y, smoothed, fitted)
-    (outdir / "report.json").write_text(
-        json.dumps(report_dict(report), indent=2) + "\n", encoding="utf-8"
-    )
+    write_overlay(path, ts.t, ts.y, report.target, fitted)
 
 
 def _cmd_discretize(args) -> int:
@@ -267,10 +259,7 @@ def _cmd_discretize(args) -> int:
         "dc_gain": m.dc_gain,
         "delay_samples": m.delay_samples,
     }
-    if args.format == "json":
-        print(json.dumps(d, indent=2))
-    else:
-        print("\n".join(f"{key} = {value}" for key, value in d.items()))
+    print(_render(d, args.format))
     return EXIT_OK
 
 
@@ -286,9 +275,12 @@ def _cmd_pipeline(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     write_csv(outdir / "raw.csv", generate(spec))
     ts = parse_csv(outdir / "raw.csv")  # round trip through the file on purpose
-    smoothing = _smoothing(args)
-    report = fit_series(ts, smoothing=smoothing, cfg=_lm_config(args))
-    _emit_artifacts(args, ts, report, smoothing, outdir=outdir)
+    report = fit_series(ts, smoothing=_smoothing(args), cfg=_lm_config(args))
+    write_csv(outdir / "smoothed.csv", TimeSeries(ts.t, report.target, ts.rate))
+    _emit_artifacts(outdir / "overlay.csv", ts, report)
+    (outdir / "report.json").write_text(
+        json.dumps(report_dict(report), indent=2) + "\n", encoding="utf-8"
+    )
     print(_render(report_dict(report), args.format))
     return EXIT_OK
 
@@ -307,22 +299,23 @@ def run(args) -> int:
     return _HANDLERS[args.command](args)
 
 
+# The first match wins, so the subclasses of ThermofitError come before it.
+_EXIT_CODES = (
+    ((FileNotFoundError, IsADirectoryError, PermissionError), EXIT_IO),
+    ((CsvFormatError, NonUniformSamplingError), EXIT_IO),
+    ((SingularEquationsError,), EXIT_NUMERIC),
+    ((ThermofitError,), EXIT_DATA),
+)
+_HANDLED = tuple(cls for classes, _ in _EXIT_CODES for cls in classes)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return run(args)
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+    except _HANDLED as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (CsvFormatError, NonUniformSamplingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except SingularEquationsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except ThermofitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return next(code for classes, code in _EXIT_CODES if isinstance(exc, classes))
 
 
 if __name__ == "__main__":

@@ -123,12 +123,11 @@ class FitParams:
 
 @dataclass(frozen=True)
 class DiscreteModel:
-    """Monic first-order (or generally FIR/IIR) difference equation.
+    """Monic first-order difference equation.
 
-    ``num[k]`` multiplies the input ``u[n-k]`` and ``den[k]`` (k >= 1)
-    multiplies past outputs, with ``den[0] == 1``:
+    ``num`` holds one or two input coefficients and ``den == (1, den[1])``:
 
-        y[n] = sum_k num[k] * u[n-k] - sum_{k>=1} den[k] * y[n-k]
+        y[n] = num[0] * u[n] + num[1] * u[n-1] - den[1] * y[n-1]
 
     The input is additionally delayed by ``delay_samples`` whole samples.
     The model is a pure transfer-function realization: there is no ambient
@@ -143,16 +142,16 @@ class DiscreteModel:
     def __post_init__(self):
         if not self.sample_time > 0:
             raise InvalidParameterError("sample_time must be positive")
-        if not self.den or self.den[0] != 1.0:
-            raise InvalidParameterError("den must be monic (leading coefficient 1)")
+        if len(self.den) != 2 or self.den[0] != 1.0 or not 1 <= len(self.num) <= 2:
+            raise InvalidParameterError(
+                "first order only: den = (1, den[1]) and one or two num coefficients"
+            )
         if self.delay_samples < 0:
             raise InvalidParameterError("delay_samples must be non-negative")
 
     @property
     def pole(self) -> float:
-        """Pole of a first-order model (negated feedback coefficient)."""
-        if len(self.den) != 2:
-            raise InvalidParameterError("pole is defined for first-order models only")
+        """Pole of the model (negated feedback coefficient)."""
         return -self.den[1]
 
     @property
@@ -268,13 +267,25 @@ def discretize(p: ProcessParams, method: str, sample_time: float) -> DiscreteMod
     return DiscreteModel(num=num, den=den, sample_time=sample_time, delay_samples=delay)
 
 
+def _recurrence(d: float, q: np.ndarray, y0: float) -> np.ndarray:
+    """``y[0] = y0``, ``y[i+1] = y[i] + (d*y[i] + q[i])``: every simulator's loop.
+
+    This increment form rounds less than ``(1 + d)*y[i] + q[i]`` when the
+    pole ``1 + d`` is near 1."""
+    y = [float(y0)]
+    yi = y[0]
+    for qi in q.tolist():
+        yi += d * yi + qi
+        y.append(yi)
+    return np.array(y)
+
+
 def simulate_discrete(m: DiscreteModel, inputs, initial_temp: float) -> np.ndarray:
     """Run the difference equation over an input sequence.
 
     The first output sample is pinned to ``initial_temp``; the recursion
     produces the rest.  Input samples before the start (and before the
-    delay) are treated as zero, outputs before the start as the initial
-    value.  Output length equals input length.
+    delay) are treated as zero.  Output length equals input length.
     """
     u = np.asarray(inputs, dtype=float)
     if u.ndim != 1 or u.size == 0:
@@ -283,18 +294,10 @@ def simulate_discrete(m: DiscreteModel, inputs, initial_temp: float) -> np.ndarr
         delayed = np.zeros_like(u)
         delayed[m.delay_samples:] = u[: u.size - m.delay_samples]
         u = delayed
-    y = np.empty(u.size)
-    y[0] = initial_temp
-    for n in range(1, u.size):
-        acc = 0.0
-        for k, b in enumerate(m.num):
-            if n - k >= 0:
-                acc += b * u[n - k]
-        for k in range(1, len(m.den)):
-            past = y[n - k] if n - k >= 0 else initial_temp
-            acc -= m.den[k] * past
-        y[n] = acc
-    return y
+    q = m.num[0] * u[1:]
+    if len(m.num) == 2:
+        q += m.num[1] * u[:-1]
+    return _recurrence(m.pole - 1.0, q, initial_temp)
 
 
 def simulate_continuous(
@@ -306,21 +309,16 @@ def simulate_continuous(
     (zero-order hold), so the voltage is exactly constant within every
     integration step.  Output sample ``i`` is the temperature at ``t_i``,
     starting from ``initial_temp``; output length equals input length.
+    On this linear ODE one RK4 step is exactly the affine map
+    ``y[i+1] = y[i] + d*(y[i] - t_ambient - K*u[i])`` with
+    ``d = x + x^2/2 + x^3/6 + x^4/24`` and ``x = -sample_time / tau``.
     """
     if not sample_time > 0:
         raise InvalidParameterError("sample_time must be positive")
     u = np.asarray(inputs, dtype=float)
     if u.ndim != 1 or u.size == 0:
         raise DataLengthError("input must be a non-empty 1-d sequence")
-    h = sample_time
-    y = np.empty(u.size)
-    y[0] = initial_temp
-    for i in range(u.size - 1):
-        v = u[i]
-        t0 = y[i]
-        k1 = ode_rhs(p, t0, v)
-        k2 = ode_rhs(p, t0 + 0.5 * h * k1, v)
-        k3 = ode_rhs(p, t0 + 0.5 * h * k2, v)
-        k4 = ode_rhs(p, t0 + h * k3, v)
-        y[i + 1] = t0 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return y
+    proc = derive_process_params(p)
+    x = -sample_time / proc.tau
+    d = x * (1.0 + x / 2.0 * (1.0 + x / 3.0 * (1.0 + x / 4.0)))
+    return _recurrence(d, -d * (p.t_ambient + proc.gain * u[:-1]), initial_temp)

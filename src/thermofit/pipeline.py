@@ -11,7 +11,7 @@ in practice (the raw series stays available to callers for overlays).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -165,6 +165,8 @@ class FitReport:
     ``warnings``.  ``r_squared`` is measured against the fitting target
     (the smoothed series when smoothing was applied) and may be negative
     for fits worse than the mean predictor, which is flagged too.
+    ``target`` is the series that was fitted: the smoothed series when
+    smoothing was applied, the raw one otherwise (read-only).
     """
 
     fit: FitParams
@@ -173,6 +175,7 @@ class FitReport:
     result: FitResult
     smoothing: SGConfig | None
     warnings: tuple[str, ...]
+    target: np.ndarray = field(repr=False)
 
 
 def fit_series(
@@ -198,6 +201,7 @@ def fit_series(
                 f"length ({ts.n}); expect edge-dominated output"
             )
         y_target = sg_smooth(ts.y, smoothing)
+        y_target.flags.writeable = False
 
     if p0 is None:
         p0 = initial_guess(TimeSeries(ts.t, y_target, ts.rate))
@@ -233,4 +237,5 @@ def fit_series(
         result=result,
         smoothing=smoothing,
         warnings=tuple(warnings),
+        target=y_target,
     )

@@ -25,7 +25,6 @@ import abc
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import DataLengthError, InvalidParameterError, SingularEquationsError
 
@@ -140,22 +139,26 @@ class FitResult:
     normal_matrix: np.ndarray = field(repr=False)
 
 
+def _jacobian(model: ResidualModel, t: np.ndarray, p) -> np.ndarray:
+    """The model Jacobian at ``p`` as an (m, n_params) array."""
+    return np.asarray(model.jacobian_row(t, p), dtype=float).reshape(t.size, -1)
+
+
 def _system(model: ResidualModel, t, w, p, r):
-    """J, J^T W J and J^T W r at the current point."""
-    j = np.atleast_2d(np.asarray(model.jacobian_row(t, p), dtype=float))
-    if j.shape[0] != t.size:
-        j = j.reshape(t.size, -1)
+    """J^T W J and J^T W r at the current point."""
+    j = _jacobian(model, t, p)
     a = j.T @ (w[:, None] * j)
     g = j.T @ (w * r)
-    return j, a, g
+    return a, g
 
 
 def _solve_damped(a: np.ndarray, g: np.ndarray, lam: float) -> np.ndarray:
     """Solve (A + lam*diag(A)) h = g through a Cholesky factorization."""
     m = a + lam * np.diag(np.diag(a))
     try:
-        h = cho_solve(cho_factor(m), g)
-    except (np.linalg.LinAlgError, ValueError) as exc:
+        c = np.linalg.cholesky(m)
+        h = np.linalg.solve(c.T, np.linalg.solve(c, g))
+    except np.linalg.LinAlgError as exc:
         raise SingularEquationsError(
             f"damped normal equations singular or indefinite: {exc}"
         ) from exc
@@ -189,7 +192,7 @@ def lm_step(model: ResidualModel, t, y, weights: Weights | None, p, lam: float):
     p = np.asarray(p, dtype=float)
     t, y, w = _validate_data(t, y, weights, p.size)
     r = y - np.asarray(model.predict(t, p), dtype=float)
-    _, a, g = _system(model, t, w, p, r)
+    a, g = _system(model, t, w, p, r)
     return _solve_damped(a, g, lam)
 
 
@@ -207,7 +210,10 @@ def lm_fit(
     A step is accepted only when it strictly decreases the weighted cost;
     on rejection the damping grows and the step is re-solved at the same
     point, reusing the already-computed J, J^T W J and J^T W r.  The
-    sequence of accepted costs is therefore strictly decreasing.
+    sequence of accepted costs is therefore strictly decreasing.  The step
+    test applies to rejected steps too, so a run whose every step is
+    rejected at the floating-point floor still stops (Madsen, Nielsen &
+    Tingleff 2004, Alg. 3.16).
     Non-convergence is reported through ``converged``, never raised.
 
     ``callback``, when given, is invoked as ``callback(k, p, cost, lam)``
@@ -229,7 +235,7 @@ def lm_fit(
 
     while iterations < cfg.max_iter:
         if a is None:
-            _, a, g = _system(model, t, w, p, r)
+            a, g = _system(model, t, w, p, r)
         # the gradient test sees the point an accepted step produced, so it
         # outranks the step/cost tests that step raised
         if np.max(np.abs(g)) < cfg.tol_grad:
@@ -249,22 +255,21 @@ def lm_fit(
         if cost_new < cost:
             accepted += 1
             rel_decrease = (cost - cost_new) / cost if cost > 0 else 0.0
-            step_norm = float(np.linalg.norm(h))
             p, r = p_new, r_new
             cost = cost_new
             lam = lam / cfg.lambda_down
             a = g = None
             if callback is not None:
                 callback(accepted, p.copy(), cost, lam)
-            step_small = step_norm <= cfg.tol_step * (
-                float(np.linalg.norm(p)) + cfg.tol_step
-            )
             cost_stalled = rel_decrease < cfg.tol_cost
         else:
             lam = lam * cfg.lambda_up
+        step_small = float(np.linalg.norm(h)) <= cfg.tol_step * (
+            float(np.linalg.norm(p)) + cfg.tol_step
+        )
 
     if a is None:
-        _, a, g = _system(model, t, w, p, r)
+        a, g = _system(model, t, w, p, r)
     return FitResult(
         params=_readonly(p),
         cost=cost,
@@ -305,9 +310,7 @@ def validate_jacobian(
     p = np.asarray(p, dtype=float)
     if not np.all(np.isfinite(p)):
         raise InvalidParameterError("p must be finite")
-    analytic = np.atleast_2d(np.asarray(model.jacobian_row(t, p), dtype=float))
-    if analytic.shape[0] != t.size:
-        analytic = analytic.reshape(t.size, -1)
+    analytic = _jacobian(model, t, p)
     fd = np.empty_like(analytic)
     for j in range(p.size):
         h = max(1e-6, 1e-6 * abs(p[j]))

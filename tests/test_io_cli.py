@@ -6,14 +6,20 @@ Proves:
    bad rows and non-increasing time;
  - each CLI command produces re-parseable artifacts and the documented
    exit codes, reports carry the stable JSON schema, and THERMOFIT_SEED
-   beats --seed.
+   beats --seed;
+ - ``pipeline`` smooths once, and importing the CLI loads no SciPy.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import thermofit.cli
 from thermofit import (
     CsvFormatError,
     FitParams,
@@ -26,6 +32,7 @@ from thermofit import (
     write_csv,
 )
 from thermofit.cli import main
+from thermofit.sgolay import SGConfig, sg_smooth
 from thermofit.io import write_overlay
 
 REPORT_KEYS = {
@@ -226,6 +233,24 @@ def test_malformed_csv_exit_code_names_line(tmp_path, capsys):
     assert "line 3" in err
 
 
+def test_nonuniform_csv_exit_code(tmp_path, capsys):
+    bad = tmp_path / "gappy.csv"
+    bad.write_text("time_s,temp_c\n0,25\n1,25.1\n2,25.2\n3.5,25.3\n4,25.4\n")
+    code = run_cli("fit", "--input", str(bad))
+    assert code == 3
+    assert "spacing" in capsys.readouterr().err
+
+
+def test_singular_normal_matrix_exit_code(tmp_path, capsys):
+    # a = b zeroes the rate column of the Jacobian
+    raw = tmp_path / "raw.csv"
+    run_cli("simulate", "--output", str(raw), "--duration", "60")
+    code = run_cli("fit", "--input", str(raw), "--a0", "25", "--b0", "25",
+                   "--c0", "0.01")
+    assert code == 5
+    assert "singular" in capsys.readouterr().err
+
+
 def test_discretize_command_prints_pole_and_gain(capsys):
     code = run_cli(
         "discretize", "--gain", "1", "--tau", "10", "--ts", "1",
@@ -265,6 +290,34 @@ def test_pipeline_command_artifacts_and_schema(tmp_path, capsys):
     assert abs(report["a"] - 30.0) / 30.0 < 0.02
     assert abs(report["b"] - 25.0) / 25.0 < 0.02
     assert abs(report["c"] - 0.01) / 0.01 < 0.02
+
+
+def test_pipeline_smooths_once(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def counting(data, cfg):
+        calls.append(cfg)
+        return sg_smooth(data, cfg)
+
+    monkeypatch.setattr(thermofit.pipeline, "sg_smooth", counting)
+    monkeypatch.setattr(thermofit.cli, "sg_smooth", counting)
+    outdir = tmp_path / "run"
+    assert run_cli("pipeline", "--output", str(outdir), "--duration", "60") == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+    raw = parse_csv(outdir / "raw.csv")
+    np.testing.assert_array_equal(
+        parse_csv(outdir / "smoothed.csv").y, sg_smooth(raw.y, SGConfig(3, 901))
+    )
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(thermofit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, thermofit.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_env_seed_overrides_flag(tmp_path, monkeypatch):

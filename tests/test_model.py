@@ -13,6 +13,8 @@ Proves, among others:
    convergence of their step responses toward the continuous one;
  - the difference-equation simulator against a hand-iterated recurrence
    and the delay-equals-shift identity;
+ - both simulators against their per-sample recurrences (the difference
+   equation, and RK4's four stages of the ODE);
  - RK4 against the closed-form solution of the linear ODE.
 """
 
@@ -283,6 +285,15 @@ def test_discrete_model_invariants():
         DiscreteModel(num=(0.1,), den=(1.0, -0.9), sample_time=0.0)
     with pytest.raises(InvalidParameterError):
         DiscreteModel(num=(0.1,), den=(1.0, -0.9), sample_time=1.0, delay_samples=-1)
+    # only first order: two den and one or two num coefficients
+    for num, den in (
+        ((0.1,), (1.0,)),
+        ((0.1,), (1.0, -0.9, 0.1)),
+        ((), (1.0, -0.9)),
+        ((0.1, 0.1, 0.1), (1.0, -0.9)),
+    ):
+        with pytest.raises(InvalidParameterError):
+            DiscreteModel(num=num, den=den, sample_time=1.0)
 
 
 # ------------------------------------------------------- discrete simulation
@@ -315,6 +326,20 @@ def test_simulate_discrete_delay_equals_input_shift():
     np.testing.assert_array_equal(
         simulate_discrete(delayed, u, 1.0), simulate_discrete(base, shifted, 1.0)
     )
+
+
+def test_simulate_discrete_matches_difference_equation():
+    # y[n] = num[0] u[n] + num[1] u[n-1] + pole y[n-1], written out per
+    # sample; the simulator rounds differently, within 1e-13 of the scale
+    u = np.random.Generator(np.random.Philox(5)).uniform(0.0, 5.0, 3000)
+    for method in ("forward", "backward", "tustin"):
+        m = discretize(ProcessParams(2.0, 8.0, 0.0), method, 0.5)
+        y = [1.0]
+        for n in range(1, u.size):
+            taps = m.num[0] * u[n] + (m.num[1] * u[n - 1] if len(m.num) == 2 else 0.0)
+            y.append(taps + m.pole * y[-1])
+        out = simulate_discrete(m, u, 1.0)
+        assert np.max(np.abs(out - y)) <= 1e-13 * np.max(np.abs(y)), method
 
 
 def test_simulate_discrete_output_length_and_empty_input():
@@ -383,6 +408,22 @@ def test_simulate_continuous_agrees_with_step_response():
     y = simulate_continuous(phys, np.ones(n), f.a, ts)
     exact = step_response(f, np.arange(n) * ts)
     assert np.max(np.abs(y - exact) / np.maximum(np.abs(exact), 1.0)) < 1e-6
+
+
+def test_simulate_continuous_matches_rk4_stages():
+    # the four RK4 stages of ode_rhs, evaluated per sample, against the
+    # simulator's affine map; they round differently, within 1e-13 of the scale
+    u = np.random.Generator(np.random.Philox(5)).uniform(0.0, 5.0, 3000)
+    for h in (derive_process_params(BOX).tau / 100.0, 7.0):
+        y = [20.0]
+        for v in u[:-1]:
+            k1 = ode_rhs(BOX, y[-1], v)
+            k2 = ode_rhs(BOX, y[-1] + 0.5 * h * k1, v)
+            k3 = ode_rhs(BOX, y[-1] + 0.5 * h * k2, v)
+            k4 = ode_rhs(BOX, y[-1] + h * k3, v)
+            y.append(y[-1] + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        out = simulate_continuous(BOX, u, 20.0, h)
+        assert np.max(np.abs(out - y)) <= 1e-13 * np.max(np.abs(y)), h
 
 
 def test_simulate_continuous_rejects_bad_inputs():

@@ -11,6 +11,8 @@ Proves:
    with gradient convergence, and reproduces ordinary least squares when
    the damping is pinned at zero;
  - accepted costs decrease strictly; rejected steps only grow the damping;
+ - a fit restarted at its own solution stops on the step test, not at the
+   iteration cap;
  - uniform output scaling by a power of two leaves the iterate path
    bitwise identical and scales the cost by the square;
  - identical inputs give bitwise identical results;
@@ -273,6 +275,19 @@ def test_max_iter_reported_not_raised():
     res = lm_fit(model, t, y, None, np.array([0.5, 3.0]), LMConfig(max_iter=1))
     assert res.converged == "max_iter"
     assert res.iterations == 1
+
+
+def test_restart_from_solution_stops_on_step_not_cap():
+    # at the floating-point floor every step can be rejected; the step test
+    # must still fire on rejected steps instead of running to max_iter
+    model = LinearModel()
+    t = np.linspace(0.0, 1e4, 2001)
+    for seed in range(20):
+        y = 3.0 * t + 7.0 + np.random.default_rng(seed).normal(0.0, 1.0, t.size)
+        first = lm_fit(model, t, y, None, np.array([1.0, 0.0]))
+        again = lm_fit(model, t, y, None, first.params)
+        assert again.converged != "max_iter", seed
+        np.testing.assert_allclose(again.params, first.params, rtol=1e-10)
 
 
 def test_lm_fit_input_validation():
