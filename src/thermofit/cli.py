@@ -31,7 +31,7 @@ from .errors import (
 )
 from .io import parse_csv, write_csv, write_overlay
 from .model import FitParams, ProcessParams, DISCRETIZATION_METHODS, discretize
-from .pipeline import ExponentialStepModel, FitReport, TimeSeries, fit_series
+from .pipeline import FitReport, TimeSeries, fit_series
 from .sgolay import SGConfig, sg_smooth
 from .solver import LMConfig, Weights
 from .synth import SynthSpec, generate
@@ -192,15 +192,18 @@ def _render(d: dict, fmt: str) -> str:
     return "\n".join(lines)
 
 
-def _cmd_simulate(args) -> int:
-    spec = SynthSpec(
+def _synth_spec(args) -> SynthSpec:
+    return SynthSpec(
         truth=FitParams(args.a0, args.b0, args.c0),
         rate=args.rate,
         duration=args.duration,
         noise_sigma=args.sigma,
         seed=_resolve_seed(args),
     )
-    write_csv(args.output, generate(spec))
+
+
+def _cmd_simulate(args) -> int:
+    write_csv(args.output, generate(_synth_spec(args)))
     return EXIT_OK
 
 
@@ -234,15 +237,9 @@ def _cmd_fit(args) -> int:
     report = fit_series(ts, smoothing=smoothing, cfg=_lm_config(args),
                         weights=weights, p0=p0)
     if args.output:
-        _emit_artifacts(args.output, ts, report)
+        write_overlay(args.output, ts.t, ts.y, report.target, report.fitted)
     print(_render(report_dict(report), args.format))
     return EXIT_OK
-
-
-def _emit_artifacts(path, ts, report):
-    """Write the overlay of the raw series, the fitted target and the fit."""
-    fitted = ExponentialStepModel().predict(ts.t, report.result.params)
-    write_overlay(path, ts.t, ts.y, report.target, fitted)
 
 
 def _cmd_discretize(args) -> int:
@@ -264,24 +261,20 @@ def _cmd_discretize(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    spec = SynthSpec(
-        truth=FitParams(args.a0, args.b0, args.c0),
-        rate=args.rate,
-        duration=args.duration,
-        noise_sigma=args.sigma,
-        seed=_resolve_seed(args),
-    )
-    outdir = Path(args.output or tempfile.mkdtemp(prefix="thermofit-"))
-    outdir.mkdir(parents=True, exist_ok=True)
-    write_csv(outdir / "raw.csv", generate(spec))
-    ts = parse_csv(outdir / "raw.csv")  # round trip through the file on purpose
-    report = fit_series(ts, smoothing=_smoothing(args), cfg=_lm_config(args))
-    write_csv(outdir / "smoothed.csv", TimeSeries(ts.t, report.target, ts.rate))
-    _emit_artifacts(outdir / "overlay.csv", ts, report)
-    (outdir / "report.json").write_text(
-        json.dumps(report_dict(report), indent=2) + "\n", encoding="utf-8"
-    )
-    print(_render(report_dict(report), args.format))
+    spec = _synth_spec(args)
+    with tempfile.TemporaryDirectory(prefix="thermofit-") as tmp:
+        outdir = Path(args.output or tmp)
+        outdir.mkdir(parents=True, exist_ok=True)
+        write_csv(outdir / "raw.csv", generate(spec))
+        ts = parse_csv(outdir / "raw.csv")  # round trip through the file on purpose
+        report = fit_series(ts, smoothing=_smoothing(args), cfg=_lm_config(args))
+        write_csv(outdir / "smoothed.csv", TimeSeries(ts.t, report.target, ts.rate))
+        write_overlay(outdir / "overlay.csv", ts.t, ts.y, report.target, report.fitted)
+        d = report_dict(report)
+        (outdir / "report.json").write_text(
+            json.dumps(d, indent=2) + "\n", encoding="utf-8"
+        )
+    print(_render(d, args.format))
     return EXIT_OK
 
 

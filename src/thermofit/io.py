@@ -11,6 +11,7 @@ decimal fields (values survive a write/read round trip exactly):
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -67,7 +68,7 @@ def parse_csv(path) -> TimeSeries:
                 raise CsvFormatError(
                     f"non-numeric field in row {row!r}", line=lineno
                 ) from None
-            if not (np.isfinite(t_val) and np.isfinite(y_val)):
+            if not (math.isfinite(t_val) and math.isfinite(y_val)):
                 raise CsvFormatError(f"non-finite value in row {row!r}", line=lineno)
             if prev is not None and t_val <= prev:
                 raise NonMonotoneTimeError(

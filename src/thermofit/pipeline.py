@@ -21,7 +21,7 @@ from .errors import (
     InvalidParameterError,
     NonUniformSamplingError,
 )
-from .model import FitParams, ProcessParams, fit_to_process
+from .model import FitParams, ProcessParams, fit_to_process, step_response
 from .sgolay import SGConfig, sg_smooth
 from .solver import FitResult, LMConfig, ResidualModel, Weights, lm_fit
 
@@ -43,9 +43,10 @@ _STEP_FRACTION = 0.6321
 class TimeSeries:
     """Uniformly sampled temperature record.
 
-    ``t`` in seconds (strictly increasing), ``y`` in degC, ``rate`` the
-    nominal sampling rate in Hz.  Spacing must match ``1/rate`` within
-    1e-6 relative.  Arrays are copied and frozen at construction.
+    ``t`` in seconds (strictly increasing), ``y`` in degC, both finite;
+    ``rate`` the nominal sampling rate in Hz.  Spacing must match ``1/rate``
+    within 1e-6 relative or four float spacings of max ``|t|`` (epoch
+    timestamps), whichever is coarser.  Arrays are copied and frozen.
     """
 
     t: np.ndarray
@@ -61,15 +62,18 @@ class TimeSeries:
             raise DataLengthError("a series needs at least 2 samples")
         if not self.rate > 0:
             raise InvalidParameterError("rate must be positive")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
+            raise InvalidParameterError("t and y must be finite")
         dt = np.diff(t)
         if np.any(dt <= 0):
             raise InvalidParameterError("time must be strictly increasing")
         nominal = 1.0 / self.rate
         worst = float(np.max(np.abs(dt - nominal))) / nominal
-        if worst > 1e-6:
+        tol = max(1e-6, 4.0 * float(np.spacing(np.max(np.abs(t)))) / nominal)
+        if worst > tol:
             raise NonUniformSamplingError(
                 f"sample spacing deviates from 1/rate by {worst:.3e} relative "
-                "(tolerance 1e-6)"
+                f"(tolerance {tol:.3g})"
             )
         t.flags.writeable = False
         y.flags.writeable = False
@@ -82,20 +86,14 @@ class TimeSeries:
 
 
 class ExponentialStepModel(ResidualModel):
-    """Three-parameter step response ``(a - b) exp(-c t) + b``, p = (a, b, c)."""
+    """Three-parameter step response ``(a - b) exp(-c t) + b``, p = (a, b, c),
+    at elapsed times t >= 0: ``step_response`` and ``step_response_jacobian``."""
 
     def predict(self, t, p):
-        a, b, c = p
-        return (a - b) * np.exp(-c * np.asarray(t, dtype=float)) + b
+        return step_response(FitParams(*p), t)
 
     def jacobian_row(self, t, p):
-        a, b, c = p
-        t = np.asarray(t, dtype=float)
-        e = np.exp(-c * t)
-        return np.stack(
-            [e, 1.0 - e, -t * (a - b) * e],
-            axis=-1,
-        )
+        return step_response_jacobian(t, p)
 
 
 def step_response_jacobian(t, p):
@@ -107,7 +105,9 @@ def step_response_jacobian(t, p):
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0):
         raise InvalidParameterError("step_response_jacobian requires t >= 0")
-    return ExponentialStepModel().jacobian_row(t_arr, np.asarray(p, dtype=float))
+    a, b, c = np.asarray(p, dtype=float)
+    e = np.exp(-c * t_arr)
+    return np.stack([e, 1.0 - e, -t_arr * (a - b) * e], axis=-1)
 
 
 def initial_guess(ts: TimeSeries) -> FitParams:
@@ -166,7 +166,8 @@ class FitReport:
     (the smoothed series when smoothing was applied) and may be negative
     for fits worse than the mean predictor, which is flagged too.
     ``target`` is the series that was fitted: the smoothed series when
-    smoothing was applied, the raw one otherwise (read-only).
+    smoothing was applied, the raw one otherwise (read-only); ``fitted`` is
+    the fit at each sample, ``step_response(fit, t - t[0])`` (read-only).
     """
 
     fit: FitParams
@@ -176,6 +177,7 @@ class FitReport:
     smoothing: SGConfig | None
     warnings: tuple[str, ...]
     target: np.ndarray = field(repr=False)
+    fitted: np.ndarray = field(repr=False)
 
 
 def fit_series(
@@ -187,12 +189,14 @@ def fit_series(
 ) -> FitReport:
     """Smooth (optionally), pick starting values, fit, and report.
 
-    ``p0`` overrides the data-driven starting values.  Warnings flag a
-    window larger than half the series, a non-positive fitted rate, an
-    iteration-capped solver run and a negative R-squared; none of them
-    aborts the run.
+    The fit runs on elapsed time ``ts.t - ts.t[0]``, so ``a`` is the value
+    at the first sample whatever the clock's origin.  ``p0`` overrides the
+    data-driven starting values.  Warnings flag a window larger than half
+    the series, a non-positive fitted rate, an iteration-capped solver run
+    and a negative R-squared; none of them aborts the run.
     """
     warnings: list[str] = []
+    t = ts.t - ts.t[0]
     y_target = ts.y
     if smoothing is not None:
         if smoothing.window > ts.n // 2:
@@ -205,9 +209,8 @@ def fit_series(
 
     if p0 is None:
         p0 = initial_guess(TimeSeries(ts.t, y_target, ts.rate))
-    model = ExponentialStepModel()
     result = lm_fit(
-        model, ts.t, y_target, weights, np.array([p0.a, p0.b, p0.c]), cfg
+        ExponentialStepModel(), t, y_target, weights, np.array([p0.a, p0.b, p0.c]), cfg
     )
     a, b, c = (float(v) for v in result.params)
     fit = FitParams(a=a, b=b, c=c)
@@ -226,7 +229,9 @@ def fit_series(
             "meeting any tolerance"
         )
 
-    r2 = r_squared(y_target, model.predict(ts.t, result.params))
+    fitted = step_response(fit, t)
+    fitted.flags.writeable = False
+    r2 = r_squared(y_target, fitted)
     if r2 < 0:
         warnings.append("fit is worse than the mean predictor (negative R^2)")
 
@@ -238,4 +243,5 @@ def fit_series(
         smoothing=smoothing,
         warnings=tuple(warnings),
         target=y_target,
+        fitted=fitted,
     )

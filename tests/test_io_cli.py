@@ -3,17 +3,21 @@
 Proves:
  - write/parse round trips are value-exact and infer the rate;
  - every malformed-input class gets its own error, with line numbers for
-   bad rows and non-increasing time;
+   bad rows (blank lines counted) and non-increasing time;
+ - records with epoch timestamps survive the CSV round trip and fit like
+   the same record at t = 0, through the library and the ``fit`` command;
  - each CLI command produces re-parseable artifacts and the documented
    exit codes, reports carry the stable JSON schema, and THERMOFIT_SEED
    beats --seed;
- - ``pipeline`` smooths once, and importing the CLI loads no SciPy.
+ - ``pipeline`` smooths once, leaves no temporary directory behind
+   without ``--output``, and importing the CLI loads no SciPy.
 """
 
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +31,7 @@ from thermofit import (
     NonUniformSamplingError,
     SynthSpec,
     TimeSeries,
+    fit_series,
     generate,
     parse_csv,
     write_csv,
@@ -96,6 +101,12 @@ def test_malformed_row_names_its_line(tmp_path):
     path.write_text("time_s,temp_c\n0,25\n0.01,25.1,7\n")
     with pytest.raises(CsvFormatError, match="line 3"):
         parse_csv(path)
+    path.write_text("time_s,temp_c\n0,25\n\n0.01,abc\n")  # blank line 3
+    with pytest.raises(CsvFormatError, match="line 4"):
+        parse_csv(path)
+    path.write_text("time_s,temp_c\n0,25\n\n0.01,25.1\n0.02,nan\n")
+    with pytest.raises(CsvFormatError, match="line 5: non-finite"):
+        parse_csv(path)
 
 
 def test_decreasing_time_names_line_seven(tmp_path):
@@ -119,6 +130,18 @@ def test_single_row_rejected(tmp_path):
     path.write_text("time_s,temp_c\n0,25\n")
     with pytest.raises(CsvFormatError, match="at least 2"):
         parse_csv(path)
+
+
+def test_epoch_timestamps_round_trip_and_fit_like_time_zero(tmp_path):
+    base = generate(SynthSpec(FitParams(30.0, 25.0, 0.01), 100.0, 300.0, 0.5, 3))
+    ref = fit_series(base).fit
+    for t0 in (1.7e9, 4e9):
+        path = tmp_path / f"epoch{t0:.0f}.csv"
+        write_csv(path, TimeSeries(base.t + t0, base.y, base.rate))
+        got = fit_series(parse_csv(path)).fit
+        np.testing.assert_allclose(
+            [got.a, got.b, got.c], [ref.a, ref.b, ref.c], rtol=1e-8
+        )
 
 
 def test_overlay_round_trip(tmp_path):
@@ -183,6 +206,26 @@ def test_fit_command_report_and_overlay(tmp_path, capsys):
     assert overlay.exists()
     header = overlay.read_text().split("\n", 1)[0]
     assert header == "time_s,raw_c,smoothed_c,fitted_c"
+
+
+def test_fit_command_fits_and_overlays_on_elapsed_time(tmp_path, capsys):
+    clean = generate(SynthSpec(FitParams(30.0, 25.0, 0.01), 100.0, 300.0))
+    raw = tmp_path / "raw.csv"
+    overlay = tmp_path / "overlay.csv"
+    write_csv(raw, TimeSeries(clean.t + 1e4, clean.y, clean.rate))
+    code = run_cli(
+        "fit", "--input", str(raw), "--output", str(overlay), "--format", "json",
+    )
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["a"] == pytest.approx(30.0, rel=1e-6)
+    assert report["c"] == pytest.approx(0.01, rel=1e-6)
+    rows = np.array(
+        [line.split(",") for line in overlay.read_text().split("\n")[1:-1]],
+        dtype=float,
+    )
+    np.testing.assert_array_equal(rows[:, 0], clean.t + 1e4)
+    np.testing.assert_allclose(rows[:, 3], clean.y, atol=1e-6)
 
 
 def test_fit_command_with_uniform_sigma_weights(tmp_path, capsys):
@@ -309,6 +352,13 @@ def test_pipeline_smooths_once(tmp_path, monkeypatch, capsys):
     np.testing.assert_array_equal(
         parse_csv(outdir / "smoothed.csv").y, sg_smooth(raw.y, SGConfig(3, 901))
     )
+
+
+def test_pipeline_without_output_leaves_no_directory(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    assert run_cli("pipeline", "--duration", "30", "--format", "json") == 0
+    assert "c" in json.loads(capsys.readouterr().out)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_import_does_not_load_scipy():

@@ -2,15 +2,18 @@
 fit statistics and the end-to-end fit.
 
 Proves:
- - TimeSeries invariants (length, monotone time, uniform spacing,
-   immutability);
+ - TimeSeries invariants (length, finite values, monotone time, uniform
+   spacing with a tolerance that admits epoch timestamps, immutability);
  - the analytic Jacobian at its boundary values and against central
-   finite differences over random draws;
+   finite differences over random draws, and that the solver model
+   evaluates through ``step_response`` and ``step_response_jacobian``;
  - starting-value quality on clean falling and rising curves, the
    no-crossing fallback, and the flat-series rejection;
  - R-squared point values and its constant-input rejection;
  - round-trip identification (clean to machine accuracy, noisy within 2%),
    plus the sampling-rate, smoothing-neutrality and time-shift properties;
+ - the fit runs on elapsed time: any clock origin gives the same fit, and
+   ``FitReport.fitted`` is the read-only model the R-squared was taken on;
  - warnings for oversized windows, non-positive rates and capped runs.
 """
 
@@ -75,6 +78,24 @@ def test_time_series_rejects_nonuniform_spacing():
         TimeSeries(t, np.zeros(3), 100.0)
 
 
+def test_time_series_rejects_non_finite_values():
+    t = np.array([0.0, 0.01, 0.02])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            TimeSeries(np.array([0.0, bad, 0.02]), np.zeros(3), 100.0)
+        with pytest.raises(InvalidParameterError, match="finite"):
+            TimeSeries(t, np.array([25.0, bad, 25.0]), 100.0)
+
+
+def test_time_series_spacing_tolerance_scales_with_epoch_timestamps():
+    for t0 in (1.7e9, 4e9):
+        t = t0 + np.arange(3001) / 100.0  # rounding alone moves gaps by ~2e-5
+        assert TimeSeries(t, np.zeros(t.size), 100.0).n == 3001
+        t[2] += 0.0005  # a 5% long gap is still caught
+        with pytest.raises(NonUniformSamplingError):
+            TimeSeries(t, np.zeros(t.size), 100.0)
+
+
 def test_time_series_arrays_are_frozen_copies():
     t = np.array([0.0, 0.01, 0.02])
     y = np.array([1.0, 2.0, 3.0])
@@ -112,6 +133,17 @@ def test_jacobian_closed_form_point():
 def test_jacobian_rejects_negative_time():
     with pytest.raises(InvalidParameterError):
         step_response_jacobian(-1.0, [30.0, 25.0, 0.01])
+
+
+def test_solver_model_is_step_response_and_its_jacobian():
+    model = ExponentialStepModel()
+    t = np.linspace(0.0, 500.0, 11)
+    p = np.array([30.0, 25.0, 0.01])
+    np.testing.assert_array_equal(model.predict(t, p), step_response(FitParams(*p), t))
+    np.testing.assert_array_equal(model.jacobian_row(t, p), step_response_jacobian(t, p))
+    for method in (model.predict, model.jacobian_row):
+        with pytest.raises(InvalidParameterError, match="t >= 0"):
+            method(np.array([-1.0, 0.0]), p)
 
 
 def test_jacobian_matches_finite_differences_on_random_draws():
@@ -268,6 +300,34 @@ def test_fit_series_time_shift_covariance():
     assert abs(rep.fit.b - b) / b < 1e-6
     assert abs(rep.fit.c - c) / c < 1e-6
     assert abs(rep.fit.a - expected_a) / expected_a < 1e-6
+
+
+def test_fit_series_runs_on_elapsed_time():
+    base = clean_series(30.0, 25.0, 0.01, duration=300.0, seed=4, sigma=0.5)
+    sg = SGConfig(order=3, window=901)
+    ref = fit_series(base, smoothing=sg)
+    for t0 in (-500.0, 1e3, 1e4, 1e6, 1.7e9, 4e9):
+        rep = fit_series(TimeSeries(base.t + t0, base.y, base.rate), smoothing=sg)
+        # t - t[0] differs from base.t in the last bits, which moves the
+        # starting rate and so the solver's stopping point by ~4e-10 in c;
+        # on absolute time c was off by a factor of 3 at t0 = 1e4
+        np.testing.assert_allclose(
+            [rep.fit.a, rep.fit.b, rep.fit.c],
+            [ref.fit.a, ref.fit.b, ref.fit.c],
+            rtol=1e-8,
+        )
+        assert rep.r_squared == pytest.approx(ref.r_squared, rel=1e-12)
+
+
+def test_fit_report_fitted_is_the_model_on_elapsed_time():
+    base = clean_series(30.0, 25.0, 0.01, duration=300.0, seed=4, sigma=0.5)
+    ts = TimeSeries(base.t + 1e4, base.y, base.rate)
+    rep = fit_series(ts)
+    np.testing.assert_array_equal(rep.fitted, step_response(rep.fit, ts.t - ts.t[0]))
+    assert rep.fitted[0] == pytest.approx(rep.fit.a, rel=1e-15)
+    assert rep.r_squared == r_squared(rep.target, rep.fitted)
+    with pytest.raises(ValueError):
+        rep.fitted[0] = 0.0
 
 
 def test_fit_series_warns_on_oversized_window():

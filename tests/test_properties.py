@@ -1,0 +1,92 @@
+"""Invariances of the fit, checked as properties with hypothesis.
+
+Proves, on noisy records of a few thousand samples:
+ - shifting the time axis by any ``t0`` in [-1e4, 4e9] s (epoch
+   timestamps included) leaves the fitted ``(a, b, c)`` unchanged;
+ - mapping the temperatures through ``y -> alpha*y + beta`` (``alpha``
+   negative included, which flips the step direction) maps ``a`` and
+   ``b`` the same way and leaves ``c`` unchanged.
+
+"Unchanged" means within a few float64 resolutions of the least-squares
+minimum (see ``fit_and_resolution``), not within a fixed relative
+tolerance: ``lm_fit`` accepts a step only when the computed cost drops, so
+two fits of equivalent noisy data may stop at different points of the
+region where the cost is flat to rounding.  A relative tolerance of 1e-9
+on ``c`` fails there: seed 300 shifted by ``t0 = 7`` s moves ``c`` by
+4.6e-9 relative, and seed 610 mapped by ``alpha = 0.01, beta = -606``
+moves it by 5e-7 relative (2.4e-5 standard errors).
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from thermofit import FitParams, SynthSpec, TimeSeries, fit_series, generate
+
+RATE = 10.0
+EPS = np.finfo(float).eps
+# allowed disagreement, in units of the summed resolutions of the two fits
+SLACK = 10.0
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def noisy_record(seed):
+    """3001 samples of the default step, 30 -> 25 degC at c = 0.01/s."""
+    return generate(
+        SynthSpec(
+            truth=FitParams(30.0, 25.0, 0.01),
+            rate=RATE,
+            duration=300.0,
+            noise_sigma=0.5,
+            seed=seed,
+        )
+    )
+
+
+def fit_and_resolution(ts):
+    """Fitted (a, b, c) and how finely float64 can place each of them.
+
+    Each residual carries a rounding error of about ``eps * max|y|``, so
+    the cost ``m s^2`` (``s`` the residual rms) is uncertain by about
+    ``2 s eps max|y| sqrt(m)``.  A parameter ``k`` standard errors from the
+    minimum raises the cost by ``k^2 s^2``; equating the two gives a flat
+    half-width of ``sqrt(2 eps max|y| sqrt(m) / s)`` standard errors, with
+    the standard errors from ``s^2 (J^T J)^-1``.
+    """
+    rep = fit_series(ts)
+    s2 = rep.result.cost / (ts.n - 3)
+    se = np.sqrt(np.diag(s2 * np.linalg.inv(rep.result.normal_matrix)))
+    flat = np.sqrt(2.0 * EPS * np.max(np.abs(ts.y)) * np.sqrt(ts.n) / np.sqrt(s2))
+    return np.array([rep.fit.a, rep.fit.b, rep.fit.c]), flat * se
+
+
+@settings(deadline=None)
+@given(seed=seeds, t0=st.floats(min_value=-1e4, max_value=4e9))
+def test_time_shift_leaves_fit_unchanged(seed, t0):
+    base = noisy_record(seed)
+    ref, ref_res = fit_and_resolution(base)
+    got, got_res = fit_and_resolution(TimeSeries(base.t + t0, base.y, RATE))
+    ratio = np.abs(got - ref) / (ref_res + got_res)
+    assert np.all(ratio <= SLACK), ratio
+
+
+magnitudes = st.floats(min_value=1e-2, max_value=1e2)
+
+
+@settings(deadline=None)
+@given(
+    seed=seeds,
+    alpha=st.tuples(magnitudes, st.sampled_from((1.0, -1.0))).map(
+        lambda ms: ms[0] * ms[1]
+    ),
+    beta=st.floats(min_value=-1e3, max_value=1e3),
+)
+def test_affine_temperature_map_maps_levels_and_keeps_rate(seed, alpha, beta):
+    base = noisy_record(seed)
+    ref, ref_res = fit_and_resolution(base)
+    got, got_res = fit_and_resolution(TimeSeries(base.t, alpha * base.y + beta, RATE))
+    want = np.array([alpha * ref[0] + beta, alpha * ref[1] + beta, ref[2]])
+    scale = np.array([abs(alpha), abs(alpha), 1.0])
+    ratio = np.abs(got - want) / (scale * ref_res + got_res)
+    assert np.all(ratio <= SLACK), ratio
