@@ -20,6 +20,7 @@ from .errors import (
     FlatSeriesError,
     InvalidParameterError,
     NonUniformSamplingError,
+    SingularEquationsError,
 )
 from .model import FitParams, ProcessParams, fit_to_process, step_response
 from .sgolay import SGConfig, sg_smooth
@@ -192,9 +193,26 @@ def fit_series(
     The fit runs on elapsed time ``ts.t - ts.t[0]``, so ``a`` is the value
     at the first sample whatever the clock's origin.  ``p0`` overrides the
     data-driven starting values.  Warnings flag a window larger than half
-    the series, a non-positive fitted rate, an iteration-capped solver run
-    and a negative R-squared; none of them aborts the run.
+    the series, a non-positive fitted rate, an iteration-capped solver run,
+    a negative R-squared and a fitted curve that leaves the range of the
+    raw data; none of them aborts the run.  Raises SingularEquationsError
+    when the fit is not finite in float64, which values near 1e154 (whose
+    squares overflow) bring about.
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = _fit_series(ts, smoothing, cfg, weights, p0)
+    if not (
+        np.isfinite(report.result.cost)
+        and np.isfinite(report.r_squared)
+        and np.isfinite(report.fitted).all()
+    ):
+        raise SingularEquationsError(
+            "fit overflows float64: cost, R^2 or fitted values are not finite"
+        )
+    return report
+
+
+def _fit_series(ts, smoothing, cfg, weights, p0) -> FitReport:
     warnings: list[str] = []
     t = ts.t - ts.t[0]
     y_target = ts.y
@@ -234,6 +252,7 @@ def fit_series(
     r2 = r_squared(y_target, fitted)
     if r2 < 0:
         warnings.append("fit is worse than the mean predictor (negative R^2)")
+    warnings.extend(_range_warnings(ts.y, fitted))
 
     return FitReport(
         fit=fit,
@@ -245,3 +264,22 @@ def fit_series(
         target=y_target,
         fitted=fitted,
     )
+
+
+def _range_warnings(y, fitted) -> list[str]:
+    """Flag a fitted curve that leaves ``[min(y), max(y)]`` of the raw record
+    by more than 1e-6 of that span (rounding of a noise-free fit stays inside).
+
+    The curve is monotone, so its ends decide: ``a`` at the first sample and
+    the value at the last.  ``b`` itself is not checked, because a record
+    that stops short of the asymptote puts a correct ``b`` outside the data.
+    """
+    lo, hi = float(np.min(y)), float(np.max(y))
+    slack = 1e-6 * (hi - lo)
+    ends = (("first sample (a)", fitted[0]), ("last sample", fitted[-1]))
+    return [
+        f"fitted value at the {name} {float(v):.6g} lies outside the data range "
+        f"[{lo:.6g}, {hi:.6g}]"
+        for name, v in ends
+        if not lo - slack <= v <= hi + slack
+    ]

@@ -250,8 +250,11 @@ def lm_fit(
         iterations += 1
         h = _solve_damped(a, g, lam)
         p_new = p + h
-        r_new = y - np.asarray(model.predict(t, p_new), dtype=float)
-        cost_new = float(np.sum(w * r_new * r_new))
+        # a wild trial step may overflow the model or its cost to inf or nan,
+        # which fails the test below and is rejected like any uphill step
+        with np.errstate(over="ignore", invalid="ignore"):
+            r_new = y - np.asarray(model.predict(t, p_new), dtype=float)
+            cost_new = float(np.sum(w * r_new * r_new))
         if cost_new < cost:
             accepted += 1
             rel_decrease = (cost - cost_new) / cost if cost > 0 else 0.0

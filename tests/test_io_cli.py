@@ -3,7 +3,10 @@
 Proves:
  - write/parse round trips are value-exact and infer the rate;
  - every malformed-input class gets its own error, with line numbers for
-   bad rows (blank lines counted) and non-increasing time;
+   bad rows (blank lines counted) and non-increasing time; a header-only
+   file raises without a NumPy warning, and non-UTF-8 text exits 3;
+ - both writers emit exactly one ``repr`` per value around the boundaries
+   of their row blocks, for -0.0, subnormals, large and epoch values;
  - records with epoch timestamps survive the CSV round trip and fit like
    the same record at t = 0, through the library and the ``fit`` command;
  - each CLI command produces re-parseable artifacts and the documented
@@ -18,6 +21,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +42,8 @@ from thermofit import (
 )
 from thermofit.cli import main
 from thermofit.sgolay import SGConfig, sg_smooth
-from thermofit.io import write_overlay
+from thermofit.io import _CHUNK_ROWS as CHUNK
+from thermofit.io import OVERLAY_HEADER, SERIES_HEADER, write_overlay
 
 REPORT_KEYS = {
     "a", "b", "c", "K", "tau", "t_ambient",
@@ -132,6 +137,16 @@ def test_single_row_rejected(tmp_path):
         parse_csv(path)
 
 
+@pytest.mark.parametrize("body", ["", "\n  \n\t\n"])
+def test_header_only_csv_raises_without_warning(tmp_path, body):
+    path = tmp_path / "header.csv"
+    path.write_text("time_s,temp_c\n" + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CsvFormatError, match="need at least 2 data rows, got 0"):
+            parse_csv(path)
+
+
 def test_epoch_timestamps_round_trip_and_fit_like_time_zero(tmp_path):
     base = generate(SynthSpec(FitParams(30.0, 25.0, 0.01), 100.0, 300.0, 0.5, 3))
     ref = fit_series(base).fit
@@ -153,6 +168,29 @@ def test_overlay_round_trip(tmp_path):
     parsed = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
     np.testing.assert_array_equal(parsed[:, 0], t)
     np.testing.assert_array_equal(parsed[:, 3], t + 3)
+
+
+SPECIAL_VALUES = [-0.0, 5e-324, 1e16, 1e22, 1.7e9 + 0.01, 0.1, -273.15, 1 / 3]
+
+
+def reference_csv(header, columns):
+    """The CSV text of the columns written one ``repr`` per value."""
+    rows = (",".join(repr(float(v)) for v in row) for row in zip(*columns))
+    return "".join(line + "\n" for line in [header, *rows])
+
+
+@pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+def test_writers_match_per_value_repr(tmp_path, n):
+    y = np.resize(np.array(SPECIAL_VALUES), n)
+    cols = [y, -y, y * 3.0, np.sqrt(np.abs(y))]
+    path = tmp_path / "overlay.csv"
+    write_overlay(path, *cols)
+    assert path.read_bytes() == reference_csv(OVERLAY_HEADER, cols).encode()
+
+    ts = TimeSeries(1.7e9 + 0.01 * np.arange(n), y, 100.0)
+    path = tmp_path / "series.csv"
+    write_csv(path, ts)
+    assert path.read_bytes() == reference_csv(SERIES_HEADER, [ts.t, ts.y]).encode()
 
 
 # ----------------------------------------------------------------------- cli
@@ -274,6 +312,22 @@ def test_malformed_csv_exit_code_names_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert "line 3" in err
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"time_s,temp_c\n0,25\n0.01,2\xe95\n0.02,26\n",  # Latin-1 byte
+        "time_s,temp_c\n0,25\n0.01,26\n0.02,27\n".encode("utf-16"),  # BOM
+    ],
+    ids=["latin-1", "utf-16"],
+)
+def test_non_utf8_csv_exit_code(tmp_path, capsys, data):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(data)
+    code = run_cli("fit", "--input", str(bad))
+    assert code == 3
+    assert "not UTF-8" in capsys.readouterr().err
 
 
 def test_nonuniform_csv_exit_code(tmp_path, capsys):

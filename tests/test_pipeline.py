@@ -14,8 +14,14 @@ Proves:
    plus the sampling-rate, smoothing-neutrality and time-shift properties;
  - the fit runs on elapsed time: any clock origin gives the same fit, and
    ``FitReport.fitted`` is the read-only model the R-squared was taken on;
- - warnings for oversized windows, non-positive rates and capped runs.
+ - warnings for oversized windows, non-positive rates, capped runs and a
+   fitted curve that leaves the range of the raw data (but not for a
+   record that stops short of its asymptote);
+ - trial steps that overflow stay silent, and a record too large for
+   float64 fails with SingularEquationsError, not with NumPy warnings.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +34,7 @@ from thermofit import (
     LMConfig,
     NonUniformSamplingError,
     SGConfig,
+    SingularEquationsError,
     SynthSpec,
     TimeSeries,
     fit_series,
@@ -243,6 +250,8 @@ def test_fit_series_clean_recovery():
     assert rep.r_squared > 1.0 - 1e-10
     assert rep.process is not None
     assert rep.process.tau == pytest.approx(100.0, rel=1e-6)
+    # cut at 3 time constants, the record stays above b; the curve does not
+    assert rep.fit.b < ts.y.min()
     assert rep.warnings == ()
 
 
@@ -365,6 +374,46 @@ def test_fit_series_flags_negative_r_squared():
     )
     assert rep.r_squared < 0
     assert any("mean predictor" in w for w in rep.warnings)
+
+
+def default_record(**overrides):
+    spec = dict(truth=FitParams(30.0, 25.0, 0.01), rate=100.0, duration=300.0,
+                noise_sigma=0.5, seed=0)
+    return generate(SynthSpec(**{**spec, **overrides}))
+
+
+def test_fit_series_flags_fit_outside_data_range():
+    # one 1e6 outlier drags the fit to a = 1.71, below every sample; the
+    # trial steps on the way overflow the cost, which must stay silent
+    ts = default_record()
+    y = ts.y.copy()
+    y[ts.n // 2] = 1e6
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = fit_series(TimeSeries(ts.t, y, ts.rate))
+    assert rep.fit.a < y.min()
+    assert [w for w in rep.warnings if "outside the data range" in w] == [
+        f"fitted value at the first sample (a) {rep.fit.a:.6g} lies outside "
+        f"the data range [{y.min():.6g}, {y.max():.6g}]"
+    ]
+
+
+def test_fit_series_overflowing_trial_steps_raise_no_warning():
+    # a record cut at 0.3 time constants: early trial steps overflow exp
+    ts = default_record(truth=FitParams(30.0, 25.0, 0.001))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = fit_series(ts)
+    assert 0 < rep.fit.c < 0.002
+
+
+def test_fit_series_overflow_is_a_numerical_error():
+    ts = default_record(rate=10.0)
+    for scale in (1e152, 1e300):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularEquationsError):
+                fit_series(TimeSeries(ts.t, ts.y * scale, ts.rate))
 
 
 def test_fit_series_starting_override_is_used():
