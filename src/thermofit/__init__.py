@@ -3,107 +3,24 @@
 Models heat flow in a closed box, generates or ingests noisy temperature
 time series, smooths them with a Savitzky-Golay filter, and estimates
 process parameters by weighted Levenberg-Marquardt least squares.
+
+The package re-exports the ``__all__`` of each module below; each module
+declares its own public names.
 """
 
-from .errors import (
-    CsvFormatError,
-    DataLengthError,
-    FilterConfigError,
-    FlatSeriesError,
-    InvalidParameterError,
-    NonMonotoneTimeError,
-    NonUniformSamplingError,
-    SingularEquationsError,
-    ThermofitError,
-    UnstableDiscretizationError,
-)
-from .io import parse_csv, write_csv, write_overlay
-from .model import (
-    DISCRETIZATION_METHODS,
-    DiscreteModel,
-    FitParams,
-    PhysicalParams,
-    ProcessParams,
-    derive_process_params,
-    discretize,
-    fit_to_process,
-    heat_rates,
-    ode_rhs,
-    process_to_fit,
-    simulate_continuous,
-    simulate_discrete,
-    step_response,
-)
-from .pipeline import (
-    ExponentialStepModel,
-    FitReport,
-    TimeSeries,
-    fit_series,
-    initial_guess,
-    r_squared,
-    step_response_jacobian,
-)
-from .sgolay import SGConfig, sg_projection, sg_smooth
-from .solver import (
-    FitResult,
-    JacobianCheck,
-    LMConfig,
-    ResidualModel,
-    Weights,
-    lm_fit,
-    lm_step,
-    validate_jacobian,
-)
-from .synth import SynthSpec, generate
+from . import errors, io, model, pipeline, sgolay, solver, synth
+from .errors import *
+from .io import *
+from .model import *
+from .pipeline import *
+from .sgolay import *
+from .solver import *
+from .synth import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CsvFormatError",
-    "DataLengthError",
-    "FilterConfigError",
-    "FlatSeriesError",
-    "InvalidParameterError",
-    "NonMonotoneTimeError",
-    "NonUniformSamplingError",
-    "SingularEquationsError",
-    "ThermofitError",
-    "UnstableDiscretizationError",
-    "parse_csv",
-    "write_csv",
-    "write_overlay",
-    "DISCRETIZATION_METHODS",
-    "DiscreteModel",
-    "FitParams",
-    "PhysicalParams",
-    "ProcessParams",
-    "derive_process_params",
-    "discretize",
-    "fit_to_process",
-    "heat_rates",
-    "ode_rhs",
-    "process_to_fit",
-    "simulate_continuous",
-    "simulate_discrete",
-    "step_response",
-    "ExponentialStepModel",
-    "FitReport",
-    "TimeSeries",
-    "fit_series",
-    "initial_guess",
-    "r_squared",
-    "step_response_jacobian",
-    "SGConfig",
-    "sg_projection",
-    "sg_smooth",
-    "FitResult",
-    "JacobianCheck",
-    "LMConfig",
-    "ResidualModel",
-    "Weights",
-    "lm_fit",
-    "lm_step",
-    "validate_jacobian",
-    "SynthSpec",
-    "generate",
+    name
+    for module in (errors, io, model, pipeline, sgolay, solver, synth)
+    for name in module.__all__
 ]

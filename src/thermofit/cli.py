@@ -52,11 +52,13 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="generate a synthetic measurement CSV")
     _add_truth_opts(sim)
     sim.add_argument("--output", required=True, help="CSV path to write")
+    sim.set_defaults(handler=_cmd_simulate)
 
     smo = sub.add_parser("smooth", help="smooth a measured CSV")
     smo.add_argument("--input", required=True, help="CSV path to read")
     smo.add_argument("--output", required=True, help="CSV path to write")
     _add_sg_opts(smo, default_window=None, required_window=True)
+    smo.set_defaults(handler=_cmd_smooth)
 
     fit = sub.add_parser("fit", help="fit a measured CSV")
     fit.add_argument("--input", required=True, help="CSV path to read")
@@ -70,6 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="uniform per-point measurement std dev; sets weights 1/sigma^2",
     )
     _add_format_opt(fit)
+    fit.set_defaults(handler=_cmd_fit)
 
     dis = sub.add_parser("discretize", help="print a discrete realization")
     dis.add_argument("--gain", type=float, required=True, help="static gain K, degC/V")
@@ -80,6 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     dis.add_argument("--ts", type=float, required=True, help="sample time, s")
     _add_format_opt(dis)
+    dis.set_defaults(handler=_cmd_discretize)
 
     pipe = sub.add_parser("pipeline", help="simulate, smooth and fit end to end")
     _add_truth_opts(pipe)
@@ -89,6 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sg_opts(pipe, default_window=901)
     _add_lm_opts(pipe)
     _add_format_opt(pipe)
+    pipe.set_defaults(handler=_cmd_pipeline)
 
     return parser
 
@@ -120,11 +125,11 @@ def _add_sg_opts(sp, default_window, required_window=False):
 
 
 def _add_lm_opts(sp):
-    sp.add_argument("--lambda0", type=float, default=1e-3, help="initial damping")
-    sp.add_argument("--max-iter", type=int, default=200, help="iteration cap")
-    sp.add_argument(
-        "--tol-grad", type=float, default=1e-8, help="gradient max-norm tolerance"
-    )
+    lm = LMConfig()
+    sp.add_argument("--lambda0", type=float, default=lm.lambda0, help="initial damping")
+    sp.add_argument("--max-iter", type=int, default=lm.max_iter, help="iteration cap")
+    sp.add_argument("--tol-grad", type=float, default=lm.tol_grad,
+                    help="gradient max-norm tolerance")
 
 
 def _add_guess_opts(sp):
@@ -278,20 +283,6 @@ def _cmd_pipeline(args) -> int:
     return EXIT_OK
 
 
-_HANDLERS = {
-    "simulate": _cmd_simulate,
-    "smooth": _cmd_smooth,
-    "fit": _cmd_fit,
-    "discretize": _cmd_discretize,
-    "pipeline": _cmd_pipeline,
-}
-
-
-def run(args) -> int:
-    """Dispatch a parsed invocation; lets toolkit errors propagate."""
-    return _HANDLERS[args.command](args)
-
-
 # The first match wins, so the subclasses of ThermofitError come before it.
 _EXIT_CODES = (
     ((FileNotFoundError, IsADirectoryError, PermissionError), EXIT_IO),
@@ -305,7 +296,7 @@ _HANDLED = tuple(cls for classes, _ in _EXIT_CODES for cls in classes)
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return run(args)
+        return args.handler(args)
     except _HANDLED as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for classes, code in _EXIT_CODES if isinstance(exc, classes))

@@ -5,6 +5,19 @@ so callers (and the CLI exit-code mapping) can tell toolkit errors from
 genuine bugs.
 """
 
+__all__ = [
+    "ThermofitError",
+    "InvalidParameterError",
+    "UnstableDiscretizationError",
+    "FilterConfigError",
+    "DataLengthError",
+    "FlatSeriesError",
+    "SingularEquationsError",
+    "CsvFormatError",
+    "NonMonotoneTimeError",
+    "NonUniformSamplingError",
+]
+
 
 class ThermofitError(ValueError):
     """Base class for all toolkit errors."""

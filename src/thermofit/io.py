@@ -57,7 +57,9 @@ def parse_csv(path) -> TimeSeries:
         raise CsvFormatError(
             f"file is not UTF-8 text: byte {exc.object[exc.start]:#04x}, {exc.reason}"
         ) from None
-    rate = 1.0 / float(np.median(np.diff(t)))
+    # a time span that overflows gives rate 0 here; TimeSeries names the span
+    with np.errstate(over="ignore"):
+        rate = 1.0 / float(np.median(np.diff(t)))
     return TimeSeries(t=t, y=y, rate=rate)
 
 

@@ -11,6 +11,7 @@ in practice (the raw series stays available to callers for overlays).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,10 +45,11 @@ _STEP_FRACTION = 0.6321
 class TimeSeries:
     """Uniformly sampled temperature record.
 
-    ``t`` in seconds (strictly increasing), ``y`` in degC, both finite;
-    ``rate`` the nominal sampling rate in Hz.  Spacing must match ``1/rate``
-    within 1e-6 relative or four float spacings of max ``|t|`` (epoch
-    timestamps), whichever is coarser.  Arrays are copied and frozen.
+    ``t`` in seconds (strictly increasing, with a span finite in float64),
+    ``y`` in degC, both finite; ``rate`` the nominal sampling rate in Hz
+    (positive, finite).  Spacing must match ``1/rate`` within 1e-6 relative
+    or four float spacings of max ``|t|`` (epoch timestamps), whichever is
+    coarser.  Arrays are copied and frozen.
     """
 
     t: np.ndarray
@@ -61,10 +63,13 @@ class TimeSeries:
             raise DataLengthError("t and y must be 1-d arrays of equal length")
         if t.size < 2:
             raise DataLengthError("a series needs at least 2 samples")
-        if not self.rate > 0:
-            raise InvalidParameterError("rate must be positive")
         if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
             raise InvalidParameterError("t and y must be finite")
+        lo, hi = float(t.min()), float(t.max())
+        if not math.isfinite(hi - lo):  # Python floats overflow without a warning
+            raise InvalidParameterError(f"time span {lo!r} to {hi!r} overflows float64")
+        if not 0 < self.rate < math.inf:
+            raise InvalidParameterError("rate must be positive and finite")
         dt = np.diff(t)
         if np.any(dt <= 0):
             raise InvalidParameterError("time must be strictly increasing")
@@ -201,13 +206,10 @@ def fit_series(
     """
     with np.errstate(over="ignore", invalid="ignore"):
         report = _fit_series(ts, smoothing, cfg, weights, p0)
-    if not (
-        np.isfinite(report.result.cost)
-        and np.isfinite(report.r_squared)
-        and np.isfinite(report.fitted).all()
-    ):
+    # lm_fit itself raises on a cost that overflows
+    if not (np.isfinite(report.r_squared) and np.isfinite(report.fitted).all()):
         raise SingularEquationsError(
-            "fit overflows float64: cost, R^2 or fitted values are not finite"
+            "fit overflows float64: R^2 or fitted values are not finite"
         )
     return report
 

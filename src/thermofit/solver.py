@@ -182,6 +182,7 @@ def _validate_data(t, y, weights, n_params):
     return t, y, w
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is raised or rejected
 def lm_step(model: ResidualModel, t, y, weights: Weights | None, p, lam: float):
     """One candidate update: solve the damped normal equations at ``p``.
 
@@ -196,6 +197,7 @@ def lm_step(model: ResidualModel, t, y, weights: Weights | None, p, lam: float):
     return _solve_damped(a, g, lam)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def lm_fit(
     model: ResidualModel,
     t,
@@ -214,7 +216,8 @@ def lm_fit(
     test applies to rejected steps too, so a run whose every step is
     rejected at the floating-point floor still stops (Madsen, Nielsen &
     Tingleff 2004, Alg. 3.16).
-    Non-convergence is reported through ``converged``, never raised.
+    Non-convergence is reported through ``converged``, never raised.  Data
+    whose cost or normal matrix overflows float64 raise SingularEquationsError.
 
     ``callback``, when given, is invoked as ``callback(k, p, cost, lam)``
     after each accepted step ``k`` (1-based).
@@ -226,6 +229,8 @@ def lm_fit(
 
     r = y - np.asarray(model.predict(t, p), dtype=float)
     cost = float(np.sum(w * r * r))
+    if not np.isfinite(cost):
+        raise SingularEquationsError("starting cost is not finite in float64")
     lam = cfg.lambda0
     iterations = 0
     accepted = 0
@@ -250,11 +255,9 @@ def lm_fit(
         iterations += 1
         h = _solve_damped(a, g, lam)
         p_new = p + h
-        # a wild trial step may overflow the model or its cost to inf or nan,
-        # which fails the test below and is rejected like any uphill step
-        with np.errstate(over="ignore", invalid="ignore"):
-            r_new = y - np.asarray(model.predict(t, p_new), dtype=float)
-            cost_new = float(np.sum(w * r_new * r_new))
+        # a trial cost that overflows to inf or nan is rejected like an uphill one
+        r_new = y - np.asarray(model.predict(t, p_new), dtype=float)
+        cost_new = float(np.sum(w * r_new * r_new))
         if cost_new < cost:
             accepted += 1
             rel_decrease = (cost - cost_new) / cost if cost > 0 else 0.0

@@ -4,7 +4,8 @@ Proves:
  - write/parse round trips are value-exact and infer the rate;
  - every malformed-input class gets its own error, with line numbers for
    bad rows (blank lines counted) and non-increasing time; a header-only
-   file raises without a NumPy warning, and non-UTF-8 text exits 3;
+   file raises without a NumPy warning, non-UTF-8 text exits 3, and a time
+   axis whose span or rate overflows float64 exits 4 without a warning;
  - both writers emit exactly one ``repr`` per value around the boundaries
    of their row blocks, for -0.0, subnormals, large and epoch values;
  - records with epoch timestamps survive the CSV round trip and fit like
@@ -328,6 +329,25 @@ def test_non_utf8_csv_exit_code(tmp_path, capsys, data):
     code = run_cli("fit", "--input", str(bad))
     assert code == 3
     assert "not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("-1.7e308,25\n0,26\n1.7e308,27\n", "time span"),
+        ("-1.7e308,25\n1.7e308,26\n", "time span"),
+        ("0,25\n5e-324,26\n1e-323,27\n", "rate must be positive and finite"),
+    ],
+    ids=["span-3-rows", "span-2-rows", "subnormal-spacing"],
+)
+def test_overflowing_time_axis_exit_code(tmp_path, capsys, body, message):
+    bad = tmp_path / "huge.csv"
+    bad.write_text("time_s,temp_c\n" + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli("fit", "--input", str(bad))
+    assert code == 4
+    assert message in capsys.readouterr().err
 
 
 def test_nonuniform_csv_exit_code(tmp_path, capsys):

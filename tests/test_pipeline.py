@@ -2,8 +2,9 @@
 fit statistics and the end-to-end fit.
 
 Proves:
- - TimeSeries invariants (length, finite values, monotone time, uniform
-   spacing with a tolerance that admits epoch timestamps, immutability);
+ - TimeSeries invariants (length, finite values, a time span and a rate
+   finite in float64, monotone time, uniform spacing with a tolerance
+   that admits epoch timestamps, immutability);
  - the analytic Jacobian at its boundary values and against central
    finite differences over random draws, and that the solver model
    evaluates through ``step_response`` and ``step_response_jacobian``;
@@ -92,6 +93,18 @@ def test_time_series_rejects_non_finite_values():
             TimeSeries(np.array([0.0, bad, 0.02]), np.zeros(3), 100.0)
         with pytest.raises(InvalidParameterError, match="finite"):
             TimeSeries(t, np.array([25.0, bad, 25.0]), 100.0)
+
+
+def test_time_series_rejects_a_time_span_that_overflows():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in ([-1.7e308, 0.0, 1.7e308], [-1.7e308, 1.7e308]):
+            with pytest.raises(InvalidParameterError, match="time span"):
+                TimeSeries(np.array(t), np.zeros(len(t)), 1.0 / 1.7e308)
+        # spacings of one subnormal step have no finite rate
+        for rate in (np.inf, np.nan, 0.0):
+            with pytest.raises(InvalidParameterError, match="rate"):
+                TimeSeries(np.array([0.0, 5e-324, 1e-323]), np.zeros(3), rate)
 
 
 def test_time_series_spacing_tolerance_scales_with_epoch_timestamps():

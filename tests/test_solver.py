@@ -16,12 +16,20 @@ Proves:
  - uniform output scaling by a power of two leaves the iterate path
    bitwise identical and scales the cost by the square;
  - identical inputs give bitwise identical results;
+ - data whose cost or normal matrix overflows float64 raise
+   SingularEquationsError from lm_fit and lm_step without a NumPy warning,
+   and on any finite data up to 1e300 lm_fit ends with a finite cost or
+   that error (hypothesis);
  - the validator flags a sign-flipped Jacobian column with deviation 2
    and passes correct Jacobians at finite-difference accuracy.
 """
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     DeadParameterModel,
@@ -37,7 +45,11 @@ from thermofit import (
     InvalidParameterError,
     LMConfig,
     SingularEquationsError,
+    SynthSpec,
+    TimeSeries,
     Weights,
+    generate,
+    initial_guess,
     lm_fit,
     lm_step,
     step_response,
@@ -288,6 +300,40 @@ def test_restart_from_solution_stops_on_step_not_cap():
         again = lm_fit(model, t, y, None, first.params)
         assert again.converged != "max_iter", seed
         np.testing.assert_allclose(again.params, first.params, rtol=1e-10)
+
+
+def test_overflowing_data_raise_singular_without_warning():
+    # the records of test_fit_series_overflow_is_a_numerical_error, fitted
+    # directly: at 1e152 the normal matrix overflows, at 1e300 the cost too
+    ts = generate(SynthSpec(truth=FitParams(30.0, 25.0, 0.01), rate=10.0,
+                            duration=300.0, noise_sigma=0.5, seed=0))
+    for scale in (1e152, 1e300):
+        y = ts.y * scale
+        g = initial_guess(TimeSeries(ts.t, y, ts.rate))
+        p0 = np.array([g.a, g.b, g.c])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularEquationsError):
+                lm_fit(ExponentialStepModel(), ts.t, y, None, p0)
+            with pytest.raises(SingularEquationsError):
+                lm_step(ExponentialStepModel(), ts.t, y, None, p0, 1e-3)
+
+
+@settings(deadline=None)
+@given(
+    y=st.lists(st.floats(min_value=-1e300, max_value=1e300), min_size=10, max_size=10),
+    c0=st.floats(min_value=1e-3, max_value=10.0),
+)
+def test_lm_fit_on_finite_data_ends_finite_or_singular(y, c0):
+    y = np.array(y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            res = lm_fit(ExponentialStepModel(), 0.5 * np.arange(10.0), y, None,
+                         np.array([y[0], y[-1], c0]))
+        except SingularEquationsError:
+            return
+    assert np.isfinite(res.cost)
 
 
 def test_lm_fit_input_validation():
