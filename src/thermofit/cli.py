@@ -8,7 +8,7 @@ fit         identify (a, b, c) and process parameters from a CSV
 discretize  print the discrete-time realization of a first-order process
 pipeline    simulate -> write CSV -> re-read -> smooth -> fit, as a self-test
 
-Exit codes: 0 success, 2 usage error, 3 input-file/CSV errors, 4 invalid
+Exit codes: 0 success, 2 usage error, 3 file-system/CSV errors, 4 invalid
 data or configuration, 5 numerical failure.  The environment variable
 ``THERMOFIT_SEED`` overrides ``--seed`` when set.
 """
@@ -29,7 +29,7 @@ from .errors import (
     SingularEquationsError,
     ThermofitError,
 )
-from .io import parse_csv, write_csv, write_overlay
+from .io import parse_csv, write_csv, write_overlay, write_smoothed_and_overlay
 from .model import FitParams, ProcessParams, DISCRETIZATION_METHODS, discretize
 from .pipeline import FitReport, TimeSeries, fit_series
 from .sgolay import SGConfig, sg_smooth
@@ -273,8 +273,8 @@ def _cmd_pipeline(args) -> int:
         write_csv(outdir / "raw.csv", generate(spec))
         ts = parse_csv(outdir / "raw.csv")  # round trip through the file on purpose
         report = fit_series(ts, smoothing=_smoothing(args), cfg=_lm_config(args))
-        write_csv(outdir / "smoothed.csv", TimeSeries(ts.t, report.target, ts.rate))
-        write_overlay(outdir / "overlay.csv", ts.t, ts.y, report.target, report.fitted)
+        write_smoothed_and_overlay(outdir / "raw.csv", outdir / "smoothed.csv",
+                                   outdir / "overlay.csv", report.target, report.fitted)
         d = report_dict(report)
         (outdir / "report.json").write_text(
             json.dumps(d, indent=2) + "\n", encoding="utf-8"
@@ -285,7 +285,8 @@ def _cmd_pipeline(args) -> int:
 
 # The first match wins, so the subclasses of ThermofitError come before it.
 _EXIT_CODES = (
-    ((FileNotFoundError, IsADirectoryError, PermissionError), EXIT_IO),
+    ((FileNotFoundError, FileExistsError, IsADirectoryError, NotADirectoryError,
+      PermissionError), EXIT_IO),
     ((CsvFormatError, NonUniformSamplingError), EXIT_IO),
     ((SingularEquationsError,), EXIT_NUMERIC),
     ((ThermofitError,), EXIT_DATA),

@@ -12,13 +12,15 @@ decimal fields (values survive a write/read round trip exactly):
 from __future__ import annotations
 
 import math
+from itertools import islice
 
 import numpy as np
 
 from .errors import CsvFormatError, NonMonotoneTimeError
 from .pipeline import TimeSeries
 
-__all__ = ["SERIES_HEADER", "OVERLAY_HEADER", "parse_csv", "write_csv", "write_overlay"]
+__all__ = ["SERIES_HEADER", "OVERLAY_HEADER", "parse_csv", "write_csv", "write_overlay",
+           "write_smoothed_and_overlay"]
 
 SERIES_HEADER = "time_s,temp_c"
 OVERLAY_HEADER = "time_s,raw_c,smoothed_c,fitted_c"
@@ -130,13 +132,15 @@ def _parse_rows(fh) -> tuple[np.ndarray, np.ndarray]:
 def _write_rows(path, header: str, columns) -> None:
     """Write ``header`` and one comma-joined row per index of the equal-length
     float64 ``columns``.  Each field is ``repr`` of the Python float, the
-    shortest string that round-trips exactly."""
-    n = len(columns[0])
+    shortest string that round-trips exactly; a column passed more than once
+    (the same object) is formatted once per block."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for lo in range(0, n, _CHUNK_ROWS):
-            text = [map(repr, col[lo:lo + _CHUNK_ROWS].tolist()) for col in columns]
-            fh.write("\n".join(map(",".join, zip(*text))) + "\n")
+        for lo in range(0, len(columns[0]), _CHUNK_ROWS):
+            block = {id(col): col[lo:lo + _CHUNK_ROWS].tolist() for col in columns}
+            text = {k: list(map(repr, values)) for k, values in block.items()}
+            rows = zip(*(text[id(col)] for col in columns))
+            fh.write("\n".join(map(",".join, rows)) + "\n")
 
 
 def write_csv(path, ts: TimeSeries) -> None:
@@ -146,10 +150,25 @@ def write_csv(path, ts: TimeSeries) -> None:
 
 def write_overlay(path, t, raw, smoothed, fitted) -> None:
     """Write the plotting overlay: time, raw, smoothed and fitted columns.
-
-    ``smoothed`` may equal ``raw`` when no smoothing was applied.
-    """
+    ``smoothed`` may be ``raw`` itself when no smoothing was applied."""
     columns = [np.asarray(c, dtype=float) for c in (t, raw, smoothed, fitted)]
     if columns[0].ndim != 1 or any(c.shape != columns[0].shape for c in columns[1:]):
         raise CsvFormatError("overlay columns must be 1-d and share one length")
     _write_rows(path, OVERLAY_HEADER, columns)
+
+
+def write_smoothed_and_overlay(raw_path, smoothed_path, overlay_path, smoothed, fitted):
+    """Write ``(t, smoothed)`` as write_csv and ``(t, raw, smoothed, fitted)`` as
+    write_overlay would, in one pass that takes ``t`` and ``raw`` from the rows
+    write_csv wrote to ``raw_path``: ``repr`` round-trips, so the bytes agree."""
+    with (open(raw_path, encoding="utf-8") as src,
+          open(smoothed_path, "w", encoding="utf-8") as sm,
+          open(overlay_path, "w", encoding="utf-8") as ov):
+        sm.write(src.readline())  # SERIES_HEADER
+        ov.write(OVERLAY_HEADER + "\n")
+        for lo in range(0, len(smoothed), _CHUNK_ROWS):
+            s = list(map(repr, smoothed[lo:lo + _CHUNK_ROWS].tolist()))
+            f = map(repr, fitted[lo:lo + _CHUNK_ROWS].tolist())
+            raw = [line[:-1] for line in islice(src, len(s))]
+            ov.write("\n".join(map(",".join, zip(raw, s, f, strict=True))) + "\n")
+            sm.write("".join([r[:r.index(",") + 1] + v + "\n" for r, v in zip(raw, s)]))

@@ -7,12 +7,18 @@ Proves:
    file raises without a NumPy warning, non-UTF-8 text exits 3, and a time
    axis whose span or rate overflows float64 exits 4 without a warning;
  - both writers emit exactly one ``repr`` per value around the boundaries
-   of their row blocks, for -0.0, subnormals, large and epoch values;
+   of their row blocks, for -0.0, subnormals, large and epoch values, and
+   ``write_overlay`` formats a column passed twice once;
+ - ``pipeline``'s one-pass smoothed and overlay files are byte for byte
+   what ``write_csv`` and ``write_overlay`` write from the same arrays,
+   around the block boundaries, smoothed or not; a run formats each of its
+   four columns once (4n floats), a window-less ``fit --output`` 3n;
  - records with epoch timestamps survive the CSV round trip and fit like
    the same record at t = 0, through the library and the ``fit`` command;
  - each CLI command produces re-parseable artifacts and the documented
-   exit codes, reports carry the stable JSON schema, and THERMOFIT_SEED
-   beats --seed;
+   exit codes (3 for an output or input path under a regular file, or a
+   ``pipeline`` output that is one), reports carry the stable JSON schema,
+   and THERMOFIT_SEED beats --seed;
  - ``pipeline`` smooths once, leaves no temporary directory behind
    without ``--output``, and importing the CLI loads no SciPy.
 """
@@ -44,7 +50,12 @@ from thermofit import (
 from thermofit.cli import main
 from thermofit.sgolay import SGConfig, sg_smooth
 from thermofit.io import _CHUNK_ROWS as CHUNK
-from thermofit.io import OVERLAY_HEADER, SERIES_HEADER, write_overlay
+from thermofit.io import (
+    OVERLAY_HEADER,
+    SERIES_HEADER,
+    write_overlay,
+    write_smoothed_and_overlay,
+)
 
 REPORT_KEYS = {
     "a", "b", "c", "K", "tau", "t_ambient",
@@ -194,6 +205,37 @@ def test_writers_match_per_value_repr(tmp_path, n):
     assert path.read_bytes() == reference_csv(SERIES_HEADER, [ts.t, ts.y]).encode()
 
 
+@pytest.fixture
+def formatted(monkeypatch):
+    """The floats that thermofit.io formats, recorded by patching its ``repr``."""
+    values = []
+
+    def counting(value):
+        values.append(value)
+        return repr(value)
+
+    monkeypatch.setattr(thermofit.io, "repr", counting, raising=False)
+    return values
+
+
+@pytest.mark.parametrize("n", [CHUNK - 1, CHUNK + 1, 2 * CHUNK + 1])
+def test_write_overlay_formats_a_repeated_column_once(tmp_path, formatted, n):
+    y = np.resize(np.array(SPECIAL_VALUES), n)
+    t = 1.7e9 + 0.01 * np.arange(n)
+    path = tmp_path / "overlay.csv"
+    write_overlay(path, t, y, y, -y)
+    assert len(formatted) == 3 * n
+    assert path.read_bytes() == reference_csv(OVERLAY_HEADER, [t, y, y, -y]).encode()
+
+
+def test_write_smoothed_and_overlay_rejects_a_shorter_series_file(tmp_path):
+    y = np.resize(np.array(SPECIAL_VALUES), CHUNK + 1)
+    write_csv(tmp_path / "raw.csv", TimeSeries(np.arange(CHUNK), y[:-1], 1.0))
+    with pytest.raises(ValueError):
+        write_smoothed_and_overlay(tmp_path / "raw.csv", tmp_path / "smoothed.csv",
+                                   tmp_path / "overlay.csv", y, y)
+
+
 # ----------------------------------------------------------------------- cli
 
 
@@ -304,6 +346,22 @@ def test_fit_command_missing_file_exit_code(tmp_path, capsys):
     code = run_cli("fit", "--input", str(tmp_path / "absent.csv"))
     assert code == 3
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("pipeline", "--duration", "5", "--output", "{f}"),  # FileExistsError
+    ("pipeline", "--duration", "5", "--output", "{f}/sub"),  # NotADirectoryError
+    ("simulate", "--duration", "5", "--output", "{f}/x.csv"),  # NotADirectoryError
+    ("fit", "--input", "{f}/x.csv"),  # NotADirectoryError
+], ids=["pipeline-output-is-a-file", "pipeline-output-under-a-file",
+        "simulate-output-under-a-file", "fit-input-under-a-file"])
+def test_file_system_errors_exit_3(tmp_path, capsys, argv):
+    regular = tmp_path / "regular"
+    regular.write_text("not a directory\n")
+    code = run_cli(*(arg.format(f=regular) for arg in argv))
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "error:" in err
 
 
 def test_malformed_csv_exit_code_names_line(tmp_path, capsys):
@@ -426,6 +484,34 @@ def test_pipeline_smooths_once(tmp_path, monkeypatch, capsys):
     np.testing.assert_array_equal(
         parse_csv(outdir / "smoothed.csv").y, sg_smooth(raw.y, SGConfig(3, 901))
     )
+
+
+@pytest.mark.parametrize("window", ["901", "0"])
+@pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+def test_pipeline_artifacts_match_the_writers(tmp_path, capsys, n, window):
+    outdir = tmp_path / "run"
+    argv = ["--rate", "1", "--duration", str(n - 1), "--window", window]
+    assert run_cli("pipeline", "--output", str(outdir), *argv) == 0
+    capsys.readouterr()
+    ts = parse_csv(outdir / "raw.csv")
+    assert ts.n == n
+    smoothing = SGConfig(3, int(window)) if window != "0" else None
+    report = fit_series(ts, smoothing=smoothing)
+    write_csv(tmp_path / "smoothed.csv", TimeSeries(ts.t, report.target, ts.rate))
+    write_overlay(tmp_path / "overlay.csv", ts.t, ts.y, report.target, report.fitted)
+    for name in ("smoothed.csv", "overlay.csv"):
+        assert (outdir / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+
+def test_each_column_is_formatted_once(tmp_path, formatted, capsys):
+    n = 3001
+    assert run_cli("pipeline", "--output", str(tmp_path), "--duration", "30") == 0
+    assert len(formatted) == 4 * n  # time, raw, smoothed, fitted
+    formatted.clear()
+    raw = tmp_path / "raw.csv"
+    assert run_cli("fit", "--input", str(raw), "--output", str(tmp_path / "o.csv")) == 0
+    assert len(formatted) == 3 * n  # smoothed is raw
+    capsys.readouterr()
 
 
 def test_pipeline_without_output_leaves_no_directory(tmp_path, monkeypatch, capsys):
