@@ -234,11 +234,7 @@ def _cmd_fit(args) -> int:
     p0 = _fit_overrides(args)  # validate flags before touching the file
     smoothing = _smoothing(args)
     ts = parse_csv(args.input)
-    weights = None
-    if args.sigma is not None:
-        if not args.sigma > 0:
-            raise InvalidParameterError("--sigma must be positive")
-        weights = Weights.from_sigma([args.sigma] * ts.n)
+    weights = None if args.sigma is None else Weights.from_sigma([args.sigma] * ts.n)
     report = fit_series(ts, smoothing=smoothing, cfg=_lm_config(args),
                         weights=weights, p0=p0)
     if args.output:
@@ -276,9 +272,7 @@ def _cmd_pipeline(args) -> int:
         write_smoothed_and_overlay(outdir / "raw.csv", outdir / "smoothed.csv",
                                    outdir / "overlay.csv", report.target, report.fitted)
         d = report_dict(report)
-        (outdir / "report.json").write_text(
-            json.dumps(d, indent=2) + "\n", encoding="utf-8"
-        )
+        (outdir / "report.json").write_text(_render(d, "json") + "\n", encoding="utf-8")
     print(_render(d, args.format))
     return EXIT_OK
 

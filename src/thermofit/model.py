@@ -11,8 +11,8 @@ whose unit-step response is the three-parameter exponential
 
 with ``a = f(0)``, ``b = f(infinity)`` and ``c = 1 / tau``.  This module
 holds the parameter containers, the governing ODE, the closed-form step
-response, and the conversion of the continuous process into discrete-time
-difference equations.
+response with its Jacobian and solver binding, and the conversion of the
+continuous process into discrete-time difference equations.
 
 Units are degrees Celsius and seconds throughout.
 """
@@ -28,6 +28,7 @@ from .errors import (
     InvalidParameterError,
     UnstableDiscretizationError,
 )
+from .solver import ResidualModel
 
 __all__ = [
     "PhysicalParams",
@@ -40,6 +41,8 @@ __all__ = [
     "process_to_fit",
     "fit_to_process",
     "step_response",
+    "step_response_jacobian",
+    "ExponentialStepModel",
     "discretize",
     "simulate_discrete",
     "simulate_continuous",
@@ -219,6 +222,31 @@ def step_response(f: FitParams, t):
         raise InvalidParameterError("step_response requires t >= 0")
     y = (f.a - f.b) * np.exp(-f.c * t_arr) + f.b
     return float(y) if y.ndim == 0 else y
+
+
+def step_response_jacobian(t, p):
+    """Partial derivatives of the step-response model with respect to
+    (a, b, c): ``(exp(-ct), 1 - exp(-ct), -t (a - b) exp(-ct))``.
+
+    ``t`` (>= 0, seconds) may be a scalar or array; returns shape (..., 3).
+    """
+    t_arr = np.asarray(t, dtype=float)
+    if np.any(t_arr < 0):
+        raise InvalidParameterError("step_response_jacobian requires t >= 0")
+    a, b, c = np.asarray(p, dtype=float)
+    e = np.exp(-c * t_arr)
+    return np.stack([e, 1.0 - e, -t_arr * (a - b) * e], axis=-1)
+
+
+class ExponentialStepModel(ResidualModel):
+    """Three-parameter step response ``(a - b) exp(-c t) + b``, p = (a, b, c),
+    at elapsed times t >= 0: ``step_response`` and ``step_response_jacobian``."""
+
+    def predict(self, t, p):
+        return step_response(FitParams(*p), t)
+
+    def jacobian_row(self, t, p):
+        return step_response_jacobian(t, p)
 
 
 def discretize(p: ProcessParams, method: str, sample_time: float) -> DiscreteModel:

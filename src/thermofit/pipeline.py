@@ -1,8 +1,8 @@
 """End-to-end identification of a measured step response.
 
-Binds the exponential step-response model to the solver: optional
-smoothing, data-driven starting values, the analytic Jacobian, fit
-statistics and the conversion back to process parameters.
+Fits the exponential step-response model (``model.ExponentialStepModel``)
+to a measured record: optional smoothing, data-driven starting values, the
+solver run, fit statistics and the conversion back to process parameters.
 
 When smoothing is requested the smoothed series is the fitting target and
 the reference for R-squared, mirroring how slow thermal runs are analyzed
@@ -23,15 +23,14 @@ from .errors import (
     NonUniformSamplingError,
     SingularEquationsError,
 )
-from .model import FitParams, ProcessParams, fit_to_process, step_response
+from .model import (ExponentialStepModel, FitParams, ProcessParams, fit_to_process,
+                    step_response)
 from .sgolay import SGConfig, sg_smooth
-from .solver import FitResult, LMConfig, ResidualModel, Weights, lm_fit
+from .solver import FitResult, LMConfig, Weights, lm_fit
 
 __all__ = [
     "TimeSeries",
     "FitReport",
-    "ExponentialStepModel",
-    "step_response_jacobian",
     "initial_guess",
     "r_squared",
     "fit_series",
@@ -89,31 +88,6 @@ class TimeSeries:
     @property
     def n(self) -> int:
         return self.t.size
-
-
-class ExponentialStepModel(ResidualModel):
-    """Three-parameter step response ``(a - b) exp(-c t) + b``, p = (a, b, c),
-    at elapsed times t >= 0: ``step_response`` and ``step_response_jacobian``."""
-
-    def predict(self, t, p):
-        return step_response(FitParams(*p), t)
-
-    def jacobian_row(self, t, p):
-        return step_response_jacobian(t, p)
-
-
-def step_response_jacobian(t, p):
-    """Partial derivatives of the step-response model with respect to
-    (a, b, c): ``(exp(-ct), 1 - exp(-ct), -t (a - b) exp(-ct))``.
-
-    ``t`` (>= 0, seconds) may be a scalar or array; returns shape (..., 3).
-    """
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0):
-        raise InvalidParameterError("step_response_jacobian requires t >= 0")
-    a, b, c = np.asarray(p, dtype=float)
-    e = np.exp(-c * t_arr)
-    return np.stack([e, 1.0 - e, -t_arr * (a - b) * e], axis=-1)
 
 
 def initial_guess(ts: TimeSeries) -> FitParams:
@@ -186,6 +160,7 @@ class FitReport:
     fitted: np.ndarray = field(repr=False)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite fit is raised below
 def fit_series(
     ts: TimeSeries,
     smoothing: SGConfig | None = None,
@@ -204,17 +179,6 @@ def fit_series(
     when the fit is not finite in float64, which values near 1e154 (whose
     squares overflow) bring about.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        report = _fit_series(ts, smoothing, cfg, weights, p0)
-    # lm_fit itself raises on a cost that overflows
-    if not (np.isfinite(report.r_squared) and np.isfinite(report.fitted).all()):
-        raise SingularEquationsError(
-            "fit overflows float64: R^2 or fitted values are not finite"
-        )
-    return report
-
-
-def _fit_series(ts, smoothing, cfg, weights, p0) -> FitReport:
     warnings: list[str] = []
     t = ts.t - ts.t[0]
     y_target = ts.y
@@ -252,6 +216,11 @@ def _fit_series(ts, smoothing, cfg, weights, p0) -> FitReport:
     fitted = step_response(fit, t)
     fitted.flags.writeable = False
     r2 = r_squared(y_target, fitted)
+    # lm_fit itself raises on a cost that overflows
+    if not (np.isfinite(r2) and np.isfinite(fitted).all()):
+        raise SingularEquationsError(
+            "fit overflows float64: R^2 or fitted values are not finite"
+        )
     if r2 < 0:
         warnings.append("fit is worse than the mean predictor (negative R^2)")
     warnings.extend(_range_warnings(ts.y, fitted))

@@ -85,8 +85,13 @@ class Weights:
 
     @classmethod
     def from_sigma(cls, sigma) -> "Weights":
-        """Weights from per-point measurement standard deviations."""
-        return cls(1.0 / np.square(np.asarray(sigma, dtype=float)))
+        """Weights from per-point measurement standard deviations, all > 0; a
+        sigma whose square leaves float64 gives a weight that is rejected."""
+        sigma = np.asarray(sigma, dtype=float)
+        if not np.all(sigma > 0):
+            raise InvalidParameterError("all sigma values must be positive")
+        with np.errstate(divide="ignore", over="ignore"):
+            return cls(1.0 / np.square(sigma))
 
 
 @dataclass(frozen=True)
@@ -125,8 +130,8 @@ class FitResult:
     ``converged`` names the criterion that stopped the run: ``"grad"``
     (max-norm of J^T W r below tol_grad), ``"step"`` (relative parameter
     step below tol_step), ``"cost"`` (relative cost decrease below
-    tol_cost) or ``"max_iter"``.  ``normal_matrix`` is J^T W J at the
-    solution.
+    tol_cost) or ``"max_iter"``.  ``normal_matrix`` is J^T W J at
+    ``params``.
     """
 
     params: np.ndarray
@@ -235,12 +240,10 @@ def lm_fit(
     iterations = 0
     accepted = 0
     converged = "max_iter"
-    a = g = None
+    a, g = _system(model, t, w, p, r)
     step_small = cost_stalled = False
 
     while iterations < cfg.max_iter:
-        if a is None:
-            a, g = _system(model, t, w, p, r)
         # the gradient test sees the point an accepted step produced, so it
         # outranks the step/cost tests that step raised
         if np.max(np.abs(g)) < cfg.tol_grad:
@@ -264,7 +267,7 @@ def lm_fit(
             p, r = p_new, r_new
             cost = cost_new
             lam = lam / cfg.lambda_down
-            a = g = None
+            a, g = _system(model, t, w, p, r)
             if callback is not None:
                 callback(accepted, p.copy(), cost, lam)
             cost_stalled = rel_decrease < cfg.tol_cost
@@ -274,8 +277,6 @@ def lm_fit(
             float(np.linalg.norm(p)) + cfg.tol_step
         )
 
-    if a is None:
-        a, g = _system(model, t, w, p, r)
     return FitResult(
         params=_readonly(p),
         cost=cost,

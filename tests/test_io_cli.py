@@ -319,9 +319,12 @@ def test_fit_command_with_uniform_sigma_weights(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     # uniform weights rescale the cost but not the solution
     assert report["c"] == pytest.approx(0.01, rel=1e-6)
-    code = run_cli("fit", "--input", str(raw), "--sigma", "-1")
-    assert code == 4
-    capsys.readouterr()
+    # a sigma whose square underflows is rejected like a negative one,
+    # without a NumPy warning
+    for sigma in ("-1", "1e-200"):
+        code = run_cli("fit", "--input", str(raw), "--sigma", sigma)
+        assert code == 4
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_fit_command_starting_override_requires_all_three(tmp_path, capsys):

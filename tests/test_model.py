@@ -6,6 +6,7 @@ Proves, among others:
    below-ambient sign and both equilibria;
  - parameter lumping (gain = lamp/(area*U), tau = rho*cp/(area*U)) and its
    scaling law, plus exact round trips between process and fit parameters;
+ - fit parameters reject NaN and infinite a, b and c;
  - step response boundary values, closed-form point checks, monotonicity
    and boundedness;
  - the three discrete realizations (poles and input gains), their unit DC
@@ -170,6 +171,14 @@ def test_process_params_invariants():
         ProcessParams(gain=1.0, tau=0.0, t_ambient=0.0)
     with pytest.raises(InvalidParameterError):
         ProcessParams(gain=1.0, tau=1.0, t_ambient=0.0, dead_time=-1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["a", "b", "c"])
+def test_fit_params_must_be_finite(name, bad):
+    values = {"a": 30.0, "b": 25.0, "c": 0.01, name: bad}
+    with pytest.raises(InvalidParameterError, match=f"{name} must be finite"):
+        FitParams(**values)
 
 
 # ------------------------------------------------------------- step response

@@ -13,9 +13,14 @@ Proves:
  - accepted costs decrease strictly; rejected steps only grow the damping;
  - a fit restarted at its own solution stops on the step test, not at the
    iteration cap;
+ - the reported normal matrix is J^T W J at the returned parameters, whether
+   the run stops on the gradient, the step or the iteration cap, after an
+   accepted or a rejected step;
  - uniform output scaling by a power of two leaves the iterate path
    bitwise identical and scales the cost by the square;
  - identical inputs give bitwise identical results;
+ - ``Weights.from_sigma`` rejects non-positive and NaN sigma, and sigma
+   whose square leaves float64, without a NumPy warning;
  - data whose cost or normal matrix overflows float64 raise
    SingularEquationsError from lm_fit and lm_step without a NumPy warning,
    and on any finite data up to 1e300 lm_fit ends with a finite cost or
@@ -125,6 +130,12 @@ def test_weights_validation():
         Weights.from_sigma([0.5, 2.0]).values, [4.0, 0.25], rtol=1e-15
     )
     assert Weights.unit(3).values.tolist() == [1.0, 1.0, 1.0]
+    # non-positive and NaN sigma, and a sigma whose square under- or
+    # overflows, raise without a RuntimeWarning
+    for sigma in ([-0.5, 0.5], [0.0, 1.0], [np.nan, 1.0], [1e-200, 1.0],
+                  [1e200, 1.0]):
+        with pytest.raises(InvalidParameterError):
+            Weights.from_sigma(sigma)
 
 
 def test_weighted_fit_matches_weighted_least_squares():
@@ -278,6 +289,34 @@ def test_gradient_at_grad_convergence_is_below_tolerance():
     j = model.jacobian_row(t, res.params)
     g = j.T @ res.residuals
     assert np.max(np.abs(g)) < cfg.tol_grad
+
+
+def test_normal_matrix_is_jtwj_at_params():
+    # whether the run stops on a test or at the cap, after an accepted step
+    # (moved) or a rejected one
+    exp_t = np.arange(0.0, 600.0, 0.5)
+    exp_y = step_response(FitParams(30.0, 25.0, 0.01), exp_t)
+    lin_t = np.linspace(0.0, 1e4, 2001)
+    lin_y = 3.0 * lin_t + 7.0 + np.random.default_rng(0).normal(0.0, 1.0, lin_t.size)
+    lin_w = Weights.from_sigma(np.where(lin_t < 5e3, 0.5, 2.0))
+    lin_p = lm_fit(LinearModel(), lin_t, lin_y, lin_w, np.array([1.0, 0.0])).params
+    two_t = np.linspace(0.0, 6.0, 40)
+    two_y = TwoParamExpModel().predict(two_t, np.array([5.0, 0.8]))
+    runs = [  # (model, t, y, weights, p0, max_iter), converged, moved
+        ((ExponentialStepModel(), exp_t, exp_y, None, [28.0, 20.0, 0.02], 200),
+         "grad", True),
+        ((LinearModel(), lin_t, lin_y, lin_w, lin_p, 200), "step", False),
+        ((TwoParamExpModel(), two_t, two_y, None, [4.0, 1.0], 1), "max_iter", True),
+        ((LinearModel(), lin_t, lin_y, lin_w, lin_p, 1), "max_iter", False),
+    ]
+    for (model, t, y, weights, p0, max_iter), converged, moved in runs:
+        res = lm_fit(model, t, y, weights, np.array(p0), LMConfig(max_iter=max_iter))
+        assert (res.converged, res.accepted_steps > 0) == (converged, moved)
+        j = model.jacobian_row(t, res.params)
+        w = np.ones(t.size) if weights is None else weights.values
+        np.testing.assert_allclose(
+            res.normal_matrix, j.T @ (w[:, None] * j), rtol=1e-13, atol=0
+        )
 
 
 def test_max_iter_reported_not_raised():
