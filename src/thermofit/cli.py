@@ -57,13 +57,13 @@ def build_parser() -> argparse.ArgumentParser:
     smo = sub.add_parser("smooth", help="smooth a measured CSV")
     smo.add_argument("--input", required=True, help="CSV path to read")
     smo.add_argument("--output", required=True, help="CSV path to write")
-    _add_sg_opts(smo, default_window=None, required_window=True)
+    _add_sg_opts(smo, required=True, help="smoothing window (odd sample count)")
     smo.set_defaults(handler=_cmd_smooth)
 
     fit = sub.add_parser("fit", help="fit a measured CSV")
     fit.add_argument("--input", required=True, help="CSV path to read")
     fit.add_argument("--output", help="overlay CSV path (t, raw, smoothed, fitted)")
-    _add_sg_opts(fit, default_window=None)
+    _add_sg_opts(fit)
     _add_lm_opts(fit)
     _add_guess_opts(fit)
     fit.add_argument(
@@ -90,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     pipe.add_argument(
         "--output", help="directory for raw/smoothed/overlay CSVs and report.json"
     )
-    _add_sg_opts(pipe, default_window=901)
+    _add_sg_opts(pipe, default=901)
     _add_lm_opts(pipe)
     _add_format_opt(pipe)
     pipe.set_defaults(handler=_cmd_pipeline)
@@ -108,20 +108,11 @@ def _add_truth_opts(sp):
     sp.add_argument("--seed", type=int, default=0, help="noise seed")
 
 
-def _add_sg_opts(sp, default_window, required_window=False):
+def _add_sg_opts(sp, **window):
+    """``window`` overrides argparse's settings of ``--window``."""
     sp.add_argument("--order", type=int, default=3, help="smoothing polynomial degree")
-    window_help = (
-        "smoothing window (odd sample count)"
-        if required_window
-        else "smoothing window (odd sample count); 0 or omitted disables smoothing"
-    )
-    sp.add_argument(
-        "--window",
-        type=int,
-        default=default_window,
-        required=required_window,
-        help=window_help,
-    )
+    help_ = "smoothing window (odd sample count); 0 or omitted disables smoothing"
+    sp.add_argument("--window", type=int, **{"help": help_, **window})
 
 
 def _add_lm_opts(sp):

@@ -38,9 +38,10 @@ def parse_csv(path) -> TimeSeries:
     NonMonotoneTimeError (with the line number) when time fails to
     increase, and NonUniformSamplingError when the spacing strays from the
     inferred rate.  The rate is inferred from the median sample spacing.
+    A UTF-8 byte-order mark and CRLF line ends are read as well.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             header = fh.readline()
             if not header:
                 raise CsvFormatError("empty file", line=1)
@@ -48,13 +49,7 @@ def parse_csv(path) -> TimeSeries:
                 raise CsvFormatError(
                     f"expected header {SERIES_HEADER!r}, got {header.strip()!r}", line=1
                 )
-            body = fh.tell()
-            data = _load_body(fh)
-            if data is None:
-                fh.seek(body)
-                t, y = _parse_rows(fh)
-            else:
-                t, y = data[:, 0], data[:, 1]
+            t, y = _load_body(fh)
     except UnicodeDecodeError as exc:
         raise CsvFormatError(
             f"file is not UTF-8 text: byte {exc.object[exc.start]:#04x}, {exc.reason}"
@@ -65,31 +60,32 @@ def parse_csv(path) -> TimeSeries:
     return TimeSeries(t=t, y=y, rate=rate)
 
 
-def _load_body(fh) -> np.ndarray | None:
-    """The rows after the header as an (n, 2) array, or None unless there are
-    at least 2 rows of 2 finite fields with strictly increasing time.
+def _load_body(fh) -> tuple[np.ndarray, np.ndarray]:
+    """The time and temperature columns of the rows after the header.
 
-    ``np.loadtxt`` rejects some fields ``float()`` reads (``1_5``, non-ASCII
-    digits) but reads none that ``float()`` rejects, and both round
-    correctly; so None only means that ``_parse_rows`` decides the file.
+    ``np.loadtxt`` reads a body of at least 2 rows of 2 finite fields with
+    strictly increasing time; any other body goes to ``_parse_rows`` from
+    the first row.  ``np.loadtxt`` rejects some fields ``float()`` reads
+    (``1_5``, non-ASCII digits) but reads none that ``float()`` rejects, and
+    both round correctly; so the row loop decides every body it refuses.
     """
     start = fh.tell()
-    # loadtxt warns on a body without rows; _parse_rows reports it instead
-    if not any(line.strip() for line in iter(fh.readline, "")):
-        return None
-    fh.seek(start)
     try:
-        data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        # loadtxt warns on a body without rows; _parse_rows reports it instead
+        if any(line.strip() for line in iter(fh.readline, "")):
+            fh.seek(start)
+            data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            if (
+                data.shape[0] >= 2
+                and data.shape[1] == 2
+                and np.isfinite(data).all()
+                and (data[1:, 0] > data[:-1, 0]).all()
+            ):
+                return data[:, 0], data[:, 1]
     except ValueError:  # UnicodeDecodeError too: the row loop meets it again
-        return None
-    if (
-        data.shape[0] < 2
-        or data.shape[1] != 2
-        or not np.isfinite(data).all()
-        or not (data[1:, 0] > data[:-1, 0]).all()
-    ):
-        return None
-    return data
+        pass
+    fh.seek(start)
+    return _parse_rows(fh)
 
 
 def _parse_rows(fh) -> tuple[np.ndarray, np.ndarray]:

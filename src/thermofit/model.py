@@ -270,6 +270,8 @@ def discretize(p: ProcessParams, method: str, sample_time: float) -> DiscreteMod
     samples.  The forward method is rejected when ``Ts >= 2 * tau``, where
     its pole leaves the unit circle.
     """
+    if not np.isfinite([sample_time, p.gain, p.tau, p.dead_time]).all():
+        raise InvalidParameterError("sample_time, gain, tau, dead_time must be finite")
     if not sample_time > 0:
         raise InvalidParameterError("sample_time must be positive")
     k, tau, ts = p.gain, p.tau, sample_time
@@ -318,10 +320,8 @@ def simulate_discrete(m: DiscreteModel, inputs, initial_temp: float) -> np.ndarr
     u = np.asarray(inputs, dtype=float)
     if u.ndim != 1 or u.size == 0:
         raise DataLengthError("input must be a non-empty 1-d sequence")
-    if m.delay_samples > 0:
-        delayed = np.zeros_like(u)
-        delayed[m.delay_samples:] = u[: u.size - m.delay_samples]
-        u = delayed
+    d = min(m.delay_samples, u.size)
+    u = np.concatenate([np.zeros(d), u[: u.size - d]])
     q = m.num[0] * u[1:]
     if len(m.num) == 2:
         q += m.num[1] * u[:-1]

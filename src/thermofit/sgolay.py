@@ -8,7 +8,7 @@ window.  For a window of ``2m + 1`` samples this is the linear projection
 
 onto polynomials of degree <= order, where ``V`` is the Vandermonde matrix
 of the centred integer abscissas ``-m .. m``.  Interior samples use the
-central row of ``B`` as a convolution kernel; the first and last ``m``
+central row of ``B`` as a correlation kernel; the first and last ``m``
 samples reuse the remaining rows of ``B`` applied to the first/last full
 window, so no samples are dropped and the output has the input's length.
 
@@ -74,7 +74,7 @@ def sg_projection(cfg: SGConfig) -> np.ndarray:
 def sg_smooth(data, cfg: SGConfig) -> np.ndarray:
     """Smooth a 1-d sequence; output length equals input length.
 
-    Interior samples are the convolution of the data with the central row
+    Interior samples are the correlation of the data with the central row
     of the projection; the first and last ``half`` samples apply the other
     projection rows to the first/last full window (polynomial edge
     treatment).  Requires at least ``window`` samples.
@@ -90,10 +90,7 @@ def sg_smooth(data, cfg: SGConfig) -> np.ndarray:
     b = sg_projection(cfg)
     m = cfg.half
     out = np.empty(n)
-    centre = b[m]
-    # np.convolve flips its kernel; the centre row is symmetric, but flip
-    # anyway so this stays a correlation.
-    out[m : n - m] = np.convolve(y, centre[::-1], mode="valid")
+    out[m : n - m] = np.correlate(y, b[m], mode="valid")
     out[:m] = b[:m] @ y[: cfg.window]
     out[n - m :] = b[m + 1 :] @ y[n - cfg.window :]
     return out

@@ -239,21 +239,15 @@ def lm_fit(
     lam = cfg.lambda0
     iterations = 0
     accepted = 0
-    converged = "max_iter"
     a, g = _system(model, t, w, p, r)
-    step_small = cost_stalled = False
+    stop = None
 
     while iterations < cfg.max_iter:
         # the gradient test sees the point an accepted step produced, so it
-        # outranks the step/cost tests that step raised
+        # outranks the step/cost test that step raised
         if np.max(np.abs(g)) < cfg.tol_grad:
-            converged = "grad"
-            break
-        if step_small:
-            converged = "step"
-            break
-        if cost_stalled:
-            converged = "cost"
+            stop = "grad"
+        if stop is not None:
             break
         iterations += 1
         h = _solve_damped(a, g, lam)
@@ -270,19 +264,22 @@ def lm_fit(
             a, g = _system(model, t, w, p, r)
             if callback is not None:
                 callback(accepted, p.copy(), cost, lam)
-            cost_stalled = rel_decrease < cfg.tol_cost
         else:
+            rel_decrease = np.inf  # a rejected step cannot stall the cost
             lam = lam * cfg.lambda_up
-        step_small = float(np.linalg.norm(h)) <= cfg.tol_step * (
-            float(np.linalg.norm(p)) + cfg.tol_step
-        )
+        if np.linalg.norm(h) <= cfg.tol_step * (np.linalg.norm(p) + cfg.tol_step):
+            stop = "step"
+        elif rel_decrease < cfg.tol_cost:
+            stop = "cost"
+    else:
+        stop = "max_iter"  # the cap outranks a test its last iteration raised
 
     return FitResult(
         params=_readonly(p),
         cost=cost,
         iterations=iterations,
         accepted_steps=accepted,
-        converged=converged,
+        converged=stop,
         residuals=_readonly(r),
         lambda_final=lam,
         normal_matrix=_readonly(a),

@@ -37,6 +37,8 @@ class SynthSpec:
             raise InvalidParameterError("duration must be positive")
         if self.noise_sigma < 0:
             raise InvalidParameterError("noise_sigma must be non-negative")
+        if not np.isfinite(self.duration * self.rate):
+            raise InvalidParameterError("duration * rate must be finite")
 
 
 def generate(spec: SynthSpec) -> TimeSeries:

@@ -3,9 +3,12 @@
 Proves:
  - write/parse round trips are value-exact and infer the rate;
  - every malformed-input class gets its own error, with line numbers for
-   bad rows (blank lines counted) and non-increasing time; a header-only
-   file raises without a NumPy warning, non-UTF-8 text exits 3, and a time
-   axis whose span or rate overflows float64 exits 4 without a warning;
+   bad rows (blank lines counted) and non-increasing time; an empty file
+   and a header-only file raise without a NumPy warning, non-UTF-8 text
+   exits 3, and a time axis whose span or rate overflows float64 exits 4
+   without a warning;
+ - a file with a UTF-8 byte-order mark and CRLF line ends reads and fits
+   like the plain file, and names its bad rows by the same line numbers;
  - both writers emit exactly one ``repr`` per value around the boundaries
    of their row blocks, for -0.0, subnormals, large and epoch values, and
    ``write_overlay`` formats a column passed twice once;
@@ -17,8 +20,9 @@ Proves:
    the same record at t = 0, through the library and the ``fit`` command;
  - each CLI command produces re-parseable artifacts and the documented
    exit codes (3 for an output or input path under a regular file, or a
-   ``pipeline`` output that is one), reports carry the stable JSON schema,
-   and THERMOFIT_SEED beats --seed;
+   ``pipeline`` output that is one; 4 for a non-finite generator or
+   ``discretize`` parameter), reports carry the stable JSON schema, and
+   THERMOFIT_SEED beats --seed;
  - ``pipeline`` smooths once, leaves no temporary directory behind
    without ``--output``, and importing the CLI loads no SciPy.
 """
@@ -159,6 +163,37 @@ def test_header_only_csv_raises_without_warning(tmp_path, body):
             parse_csv(path)
 
 
+def test_empty_file_names_line_one(tmp_path, capsys):
+    path = tmp_path / "empty.csv"
+    path.write_bytes(b"")
+    with pytest.raises(CsvFormatError, match="^line 1: empty file$"):
+        parse_csv(path)
+    assert run_cli("fit", "--input", str(path)) == 3
+    assert "line 1: empty file" in capsys.readouterr().err
+
+
+def test_bom_and_crlf_csv_reads_and_fits_like_the_plain_file(tmp_path, capsys):
+    plain = tmp_path / "plain.csv"
+    write_csv(plain, generate(SynthSpec(FitParams(30.0, 25.0, 0.1), rate=2.0,
+                                        duration=19.5, noise_sigma=0.1)))
+    excel = tmp_path / "excel.csv"
+    excel.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes().replace(b"\n", b"\r\n"))
+    a, b = parse_csv(plain), parse_csv(excel)
+    assert a.n == b.n == 40
+    np.testing.assert_array_equal(a.t, b.t)
+    np.testing.assert_array_equal(a.y, b.y)
+    assert a.rate == b.rate
+    reports = []
+    for path in (plain, excel):
+        assert run_cli("fit", "--input", str(path)) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    # the row loop, which a bad row falls back to, reads the same lines
+    excel.write_bytes(b"\xef\xbb\xbftime_s,temp_c\r\n0,25\r\n0.01,oops\r\n")
+    with pytest.raises(CsvFormatError, match="^line 3: non-numeric"):
+        parse_csv(excel)
+
+
 def test_epoch_timestamps_round_trip_and_fit_like_time_zero(tmp_path):
     base = generate(SynthSpec(FitParams(30.0, 25.0, 0.01), 100.0, 300.0, 0.5, 3))
     ref = fit_series(base).fit
@@ -180,6 +215,12 @@ def test_overlay_round_trip(tmp_path):
     parsed = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
     np.testing.assert_array_equal(parsed[:, 0], t)
     np.testing.assert_array_equal(parsed[:, 3], t + 3)
+
+
+def test_overlay_rejects_columns_of_unequal_length(tmp_path):
+    t = np.arange(4) / 10.0
+    with pytest.raises(CsvFormatError, match="share one length"):
+        write_overlay(tmp_path / "overlay.csv", t, t, t, t[:3])
 
 
 SPECIAL_VALUES = [-0.0, 5e-324, 1e16, 1e22, 1.7e9 + 0.01, 0.1, -273.15, 1 / 3]
@@ -447,6 +488,41 @@ def test_discretize_unstable_forward_exit_code(capsys):
     )
     assert code == 4
     assert "unstable" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--rate", "inf"),
+    ("simulate", "--duration", "inf"),
+    ("simulate", "--rate", "1e308", "--duration", "1e308"),
+    ("pipeline", "--rate", "inf"),
+    ("pipeline", "--duration", "inf"),
+    ("pipeline", "--rate", "1e308", "--duration", "1e308"),
+], ids=["simulate-rate", "simulate-duration", "simulate-overflow",
+        "pipeline-rate", "pipeline-duration", "pipeline-overflow"])
+def test_non_finite_sample_count_exit_code(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    target = out / "x.csv" if argv[0] == "simulate" else out
+    code = run_cli(*argv, "--output", str(target))
+    assert code == 4
+    assert "error: duration * rate must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("--tau", "inf", "--method", "forward"),
+    ("--dead-time", "inf"),
+    ("--dead-time", "nan"),
+    ("--ts", "inf"),
+    ("--gain", "nan"),
+], ids=["tau-inf-forward", "dead-time-inf", "dead-time-nan", "ts-inf", "gain-nan"])
+def test_discretize_non_finite_parameter_exit_code(capsys, argv):
+    # argparse keeps the last value of an option given twice
+    code = run_cli("discretize", "--gain", "1", "--tau", "10", "--ts", "1",
+                   "--method", "tustin", *argv)
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert "must be finite" in captured.err
 
 
 def test_pipeline_command_artifacts_and_schema(tmp_path, capsys):

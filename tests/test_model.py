@@ -12,12 +12,14 @@ Proves, among others:
  - the three discrete realizations (poles and input gains), their unit DC
    gain, the unstable-forward rejection, and first/second-order
    convergence of their step responses toward the continuous one;
- - the difference-equation simulator against a hand-iterated recurrence
-   and the delay-equals-shift identity;
+ - the difference-equation simulator against a hand-iterated recurrence,
+   the delay-equals-shift identity, and a delay longer than the input;
  - both simulators against their per-sample recurrences (the difference
    equation, and RK4's four stages of the ODE);
  - RK4 against the closed-form solution of the linear ODE.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -334,6 +336,22 @@ def test_simulate_discrete_delay_equals_input_shift():
     shifted[5:] = u[:-5]
     np.testing.assert_array_equal(
         simulate_discrete(delayed, u, 1.0), simulate_discrete(base, shifted, 1.0)
+    )
+
+
+def test_simulate_discrete_delay_longer_than_the_input():
+    # the whole input arrives after the record ends: the output only decays
+    m = discretize(ProcessParams(2.0, 10.0, 0.0, dead_time=7.0), "tustin", 1.0)
+    for n in (1, 5, 7):
+        np.testing.assert_array_equal(
+            simulate_discrete(m, np.ones(n), 3.0),
+            simulate_discrete(m, np.zeros(n), 3.0),
+        )
+    # a huge delay costs no more memory than the input
+    huge = dataclasses.replace(m, delay_samples=10**12)
+    np.testing.assert_array_equal(
+        simulate_discrete(huge, np.ones(5), 3.0),
+        simulate_discrete(m, np.zeros(5), 3.0),
     )
 
 

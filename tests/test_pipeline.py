@@ -19,7 +19,8 @@ Proves:
    fitted curve that leaves the range of the raw data (but not for a
    record that stops short of its asymptote);
  - trial steps that overflow stay silent, and a record too large for
-   float64 fails with SingularEquationsError, not with NumPy warnings.
+   float64 fails with SingularEquationsError, not with NumPy warnings,
+   also when tiny weights keep the weighted cost finite but not R^2.
 """
 
 import warnings
@@ -38,6 +39,7 @@ from thermofit import (
     SingularEquationsError,
     SynthSpec,
     TimeSeries,
+    Weights,
     fit_series,
     generate,
     initial_guess,
@@ -427,6 +429,15 @@ def test_fit_series_overflow_is_a_numerical_error():
             warnings.simplefilter("error")
             with pytest.raises(SingularEquationsError):
                 fit_series(TimeSeries(ts.t, ts.y * scale, ts.rate))
+
+
+def test_fit_series_weighted_fit_with_non_finite_r_squared_is_a_numerical_error():
+    # weights of 1e-300 keep the weighted cost of a 1e155-scale record
+    # finite; its unweighted sums of squares, which R^2 takes, overflow
+    t = 0.5 * np.arange(40)
+    ts = TimeSeries(t, 1e155 * (5.0 * np.exp(-0.1 * t) + 25.0), 2.0)
+    with pytest.raises(SingularEquationsError, match="R\\^2 or fitted values"):
+        fit_series(ts, weights=Weights(np.full(40, 1e-300)))
 
 
 def test_fit_series_starting_override_is_used():

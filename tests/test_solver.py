@@ -26,7 +26,8 @@ Proves:
    and on any finite data up to 1e300 lm_fit ends with a finite cost or
    that error (hypothesis);
  - the validator flags a sign-flipped Jacobian column with deviation 2
-   and passes correct Jacobians at finite-difference accuracy.
+   and passes correct Jacobians at finite-difference accuracy; it rejects
+   empty abscissas and non-finite parameters.
 """
 
 import warnings
@@ -422,3 +423,12 @@ def test_validate_jacobian_detects_sign_flip():
     assert check.max_deviation == pytest.approx(2.0, abs=1e-9)
     assert check.param_index == 0
     assert check.t_index == 0  # worst at t=0 where exp(-ct) = 1
+
+
+def test_validate_jacobian_input_validation():
+    model = ExponentialStepModel()
+    with pytest.raises(DataLengthError, match="non-empty"):
+        validate_jacobian(model, np.array([]), np.array([30.0, 25.0, 0.01]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            validate_jacobian(model, np.array([0.0, 1.0]), np.array([30.0, 25.0, bad]))
