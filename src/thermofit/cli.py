@@ -270,9 +270,7 @@ def _cmd_pipeline(args) -> int:
 
 # The first match wins, so the subclasses of ThermofitError come before it.
 _EXIT_CODES = (
-    ((FileNotFoundError, FileExistsError, IsADirectoryError, NotADirectoryError,
-      PermissionError), EXIT_IO),
-    ((CsvFormatError, NonUniformSamplingError), EXIT_IO),
+    ((OSError, CsvFormatError, NonUniformSamplingError), EXIT_IO),
     ((SingularEquationsError,), EXIT_NUMERIC),
     ((ThermofitError,), EXIT_DATA),
 )

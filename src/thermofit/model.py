@@ -268,7 +268,8 @@ def discretize(p: ProcessParams, method: str, sample_time: float) -> DiscreteMod
 
     Dead time becomes an integer input delay of ``round(dead_time / Ts)``
     samples.  The forward method is rejected when ``Ts >= 2 * tau``, where
-    its pole leaves the unit circle.
+    its pole leaves the unit circle; every method rejects a ``Ts / tau`` that
+    rounds the pole to 1 and a ``dc_gain`` or delay that overflows float64.
     """
     if not np.isfinite([sample_time, p.gain, p.tau, p.dead_time]).all():
         raise InvalidParameterError("sample_time, gain, tau, dead_time must be finite")
@@ -293,7 +294,10 @@ def discretize(p: ProcessParams, method: str, sample_time: float) -> DiscreteMod
         raise InvalidParameterError(
             f"unknown method {method!r}; expected one of {DISCRETIZATION_METHODS}"
         )
-    delay = int(round(p.dead_time / sample_time))
+    ratio = p.dead_time / sample_time
+    if sum(den) == 0 or not np.isfinite([sum(num) / sum(den), ratio]).all():
+        raise InvalidParameterError("pole rounds to 1 or a ratio overflows float64")
+    delay = int(round(ratio))
     return DiscreteModel(num=num, den=den, sample_time=sample_time, delay_samples=delay)
 
 

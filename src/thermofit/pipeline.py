@@ -26,7 +26,7 @@ from .errors import (
 from .model import (ExponentialStepModel, FitParams, ProcessParams, fit_to_process,
                     step_response)
 from .sgolay import SGConfig, sg_smooth
-from .solver import FitResult, LMConfig, Weights, lm_fit
+from .solver import FitResult, LMConfig, Weights, _readonly, lm_fit
 
 __all__ = [
     "TimeSeries",
@@ -56,8 +56,7 @@ class TimeSeries:
     rate: float
 
     def __post_init__(self):
-        t = np.array(self.t, dtype=float)
-        y = np.array(self.y, dtype=float)
+        t, y = _readonly(self.t), _readonly(self.y)
         if t.ndim != 1 or y.ndim != 1 or t.size != y.size:
             raise DataLengthError("t and y must be 1-d arrays of equal length")
         if t.size < 2:
@@ -80,8 +79,6 @@ class TimeSeries:
                 f"sample spacing deviates from 1/rate by {worst:.3e} relative "
                 f"(tolerance {tol:.3g})"
             )
-        t.flags.writeable = False
-        y.flags.writeable = False
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "y", y)
 
@@ -181,20 +178,19 @@ def fit_series(
     """
     warnings: list[str] = []
     t = ts.t - ts.t[0]
-    y_target = ts.y
+    target = ts
     if smoothing is not None:
         if smoothing.window > ts.n // 2:
             warnings.append(
                 f"smoothing window {smoothing.window} exceeds half the series "
                 f"length ({ts.n}); expect edge-dominated output"
             )
-        y_target = sg_smooth(ts.y, smoothing)
-        y_target.flags.writeable = False
+        target = TimeSeries(ts.t, sg_smooth(ts.y, smoothing), ts.rate)
 
     if p0 is None:
-        p0 = initial_guess(TimeSeries(ts.t, y_target, ts.rate))
+        p0 = initial_guess(target)
     result = lm_fit(
-        ExponentialStepModel(), t, y_target, weights, np.array([p0.a, p0.b, p0.c]), cfg
+        ExponentialStepModel(), t, target.y, weights, np.array([p0.a, p0.b, p0.c]), cfg
     )
     a, b, c = (float(v) for v in result.params)
     fit = FitParams(a=a, b=b, c=c)
@@ -215,7 +211,7 @@ def fit_series(
 
     fitted = step_response(fit, t)
     fitted.flags.writeable = False
-    r2 = r_squared(y_target, fitted)
+    r2 = r_squared(target.y, fitted)
     # lm_fit itself raises on a cost that overflows
     if not (np.isfinite(r2) and np.isfinite(fitted).all()):
         raise SingularEquationsError(
@@ -232,7 +228,7 @@ def fit_series(
         result=result,
         smoothing=smoothing,
         warnings=tuple(warnings),
-        target=y_target,
+        target=target.y,
         fitted=fitted,
     )
 

@@ -111,14 +111,16 @@ class LMConfig:
     tol_cost: float = 1e-12
 
     def __post_init__(self):
-        if self.lambda0 < 0:
-            raise InvalidParameterError("lambda0 must be non-negative")
-        if self.lambda_up <= 1 or self.lambda_down <= 1:
-            raise InvalidParameterError("lambda_up and lambda_down must exceed 1")
-        if self.max_iter < 1:
+        # a range test `not lo <= x < hi` rejects NaN as well
+        if not 0 <= self.lambda0 < np.inf:
+            raise InvalidParameterError("lambda0 must be non-negative and finite")
+        if not all(1 < f < np.inf for f in (self.lambda_up, self.lambda_down)):
+            raise InvalidParameterError("lambda_up, lambda_down must be finite and > 1")
+        if not self.max_iter >= 1:
             raise InvalidParameterError("max_iter must be at least 1")
-        if min(self.tol_grad, self.tol_step, self.tol_cost) <= 0:
-            raise InvalidParameterError("all tolerances must be positive")
+        tols = (self.tol_grad, self.tol_step, self.tol_cost)
+        if not all(0 < tol < np.inf for tol in tols):
+            raise InvalidParameterError("all tolerances must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -257,7 +259,7 @@ def lm_fit(
         cost_new = float(np.sum(w * r_new * r_new))
         if cost_new < cost:
             accepted += 1
-            rel_decrease = (cost - cost_new) / cost if cost > 0 else 0.0
+            rel_decrease = (cost - cost_new) / cost
             p, r = p_new, r_new
             cost = cost_new
             lam = lam / cfg.lambda_down
@@ -316,16 +318,11 @@ def validate_jacobian(
         raise InvalidParameterError("p must be finite")
     analytic = _jacobian(model, t, p)
     fd = np.empty_like(analytic)
-    for j in range(p.size):
-        h = max(1e-6, 1e-6 * abs(p[j]))
-        p_plus = p.copy()
-        p_plus[j] += h
-        p_minus = p.copy()
-        p_minus[j] -= h
+    for j, step in enumerate(np.diag(np.maximum(1e-6, 1e-6 * np.abs(p)))):
         fd[:, j] = (
-            np.asarray(model.predict(t, p_plus), dtype=float)
-            - np.asarray(model.predict(t, p_minus), dtype=float)
-        ) / (2.0 * h)
+            np.asarray(model.predict(t, p + step), dtype=float)
+            - np.asarray(model.predict(t, p - step), dtype=float)
+        ) / (2.0 * step[j])
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1.0)
     dev = np.abs(analytic - fd) / denom
     i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)

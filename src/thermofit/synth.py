@@ -35,10 +35,12 @@ class SynthSpec:
             raise InvalidParameterError("rate must be positive")
         if not self.duration > 0:
             raise InvalidParameterError("duration must be positive")
-        if self.noise_sigma < 0:
-            raise InvalidParameterError("noise_sigma must be non-negative")
-        if not np.isfinite(self.duration * self.rate):
-            raise InvalidParameterError("duration * rate must be finite")
+        if not 0 <= self.noise_sigma < np.inf:
+            raise InvalidParameterError("noise_sigma must be non-negative and finite")
+        if not self.duration * self.rate < 2**53:  # float64 holds the sample grid
+            raise InvalidParameterError("duration * rate must be finite and < 2**53")
+        if self.seed < 0:
+            raise InvalidParameterError("seed must be non-negative")
 
 
 def generate(spec: SynthSpec) -> TimeSeries:

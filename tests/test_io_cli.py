@@ -19,10 +19,14 @@ Proves:
  - records with epoch timestamps survive the CSV round trip and fit like
    the same record at t = 0, through the library and the ``fit`` command;
  - each CLI command produces re-parseable artifacts and the documented
-   exit codes (3 for an output or input path under a regular file, or a
-   ``pipeline`` output that is one; 4 for a non-finite generator or
-   ``discretize`` parameter), reports carry the stable JSON schema, and
-   THERMOFIT_SEED beats --seed;
+   exit codes (3 for any file-system error: an output or input path under
+   a regular file, a ``pipeline`` output that is one, a full device, a
+   name too long and a symlink loop; 4 for a generator sample count that
+   is not finite or reaches 2**53, a negative seed (also from
+   THERMOFIT_SEED), a NaN noise level, a non-finite solver option, a
+   non-finite ``discretize`` parameter, and a ``discretize`` result whose
+   pole rounds to 1 or whose gain or delay overflows), reports carry the
+   stable JSON schema, and THERMOFIT_SEED beats --seed;
  - ``pipeline`` smooths once, leaves no temporary directory behind
    without ``--output``, and importing the CLI loads no SciPy.
 """
@@ -397,12 +401,21 @@ def test_fit_command_missing_file_exit_code(tmp_path, capsys):
     ("pipeline", "--duration", "5", "--output", "{f}/sub"),  # NotADirectoryError
     ("simulate", "--duration", "5", "--output", "{f}/x.csv"),  # NotADirectoryError
     ("fit", "--input", "{f}/x.csv"),  # NotADirectoryError
+    pytest.param(("simulate", "--duration", "5", "--output", "/dev/full"),  # ENOSPC
+                 marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                          reason="no /dev/full on this system")),
+    ("simulate", "--duration", "5", "--output", "{d}/" + "x" * 300),  # ENAMETOOLONG
+    ("fit", "--input", "{d}/loop"),  # ELOOP
 ], ids=["pipeline-output-is-a-file", "pipeline-output-under-a-file",
-        "simulate-output-under-a-file", "fit-input-under-a-file"])
+        "simulate-output-under-a-file", "fit-input-under-a-file",
+        "simulate-output-no-space", "simulate-output-name-too-long",
+        "fit-input-symlink-loop"])
 def test_file_system_errors_exit_3(tmp_path, capsys, argv):
     regular = tmp_path / "regular"
     regular.write_text("not a directory\n")
-    code = run_cli(*(arg.format(f=regular) for arg in argv))
+    (tmp_path / "loop").symlink_to(tmp_path / "loop-back")
+    (tmp_path / "loop-back").symlink_to(tmp_path / "loop")
+    code = run_cli(*(arg.format(f=regular, d=tmp_path) for arg in argv))
     err = capsys.readouterr().err
     assert code == 3
     assert "error:" in err
@@ -497,8 +510,14 @@ def test_discretize_unstable_forward_exit_code(capsys):
     ("pipeline", "--rate", "inf"),
     ("pipeline", "--duration", "inf"),
     ("pipeline", "--rate", "1e308", "--duration", "1e308"),
+    ("simulate", "--rate", "1e150", "--duration", "1e150"),
+    ("simulate", "--rate", "1", "--duration", "9007199254740992"),  # 2**53
+    ("pipeline", "--rate", "1e150", "--duration", "1e150"),
+    ("pipeline", "--rate", "1", "--duration", "9007199254740992"),
 ], ids=["simulate-rate", "simulate-duration", "simulate-overflow",
-        "pipeline-rate", "pipeline-duration", "pipeline-overflow"])
+        "pipeline-rate", "pipeline-duration", "pipeline-overflow",
+        "simulate-count-1e300", "simulate-count-2**53",
+        "pipeline-count-1e300", "pipeline-count-2**53"])
 def test_non_finite_sample_count_exit_code(tmp_path, capsys, argv):
     out = tmp_path / "out"
     target = out / "x.csv" if argv[0] == "simulate" else out
@@ -523,6 +542,56 @@ def test_discretize_non_finite_parameter_exit_code(capsys, argv):
     assert code == 4
     assert captured.out == ""
     assert "must be finite" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--gain", "1", "--tau", "10", "--ts", "1e-300", "--method", "tustin",
+     "--dead-time", "1e300"),
+    ("--gain", "1e308", "--tau", "1e-308", "--ts", "1", "--method", "tustin"),
+    ("--gain", "1", "--tau", "10", "--ts", "1e-15", "--method", "tustin"),
+    ("--gain", "1", "--tau", "1e10", "--ts", "1e-300", "--method", "tustin"),
+    ("--gain", "1", "--tau", "1e10", "--ts", "1e-300", "--method", "forward"),
+    ("--gain", "1", "--tau", "1e10", "--ts", "1e-300", "--method", "backward"),
+], ids=["delay-overflows", "dc-gain-overflows", "tustin-pole-rounds-to-1",
+        "tiny-ts-tustin", "tiny-ts-forward", "tiny-ts-backward"])
+def test_discretize_result_outside_float64_exit_code(capsys, argv):
+    code = run_cli("discretize", *argv)
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert "error: pole rounds to 1 or a ratio overflows float64" in captured.err
+
+
+@pytest.mark.parametrize("argv, env, message", [
+    (("--seed", "-1"), None, "seed must be non-negative"),
+    ((), "-1", "seed must be non-negative"),
+    (("--sigma", "nan"), None, "noise_sigma must be non-negative and finite"),
+], ids=["negative-seed", "negative-THERMOFIT_SEED", "nan-sigma"])
+@pytest.mark.parametrize("command", ["simulate", "pipeline"])
+def test_generator_setting_it_cannot_honour_exit_code(tmp_path, monkeypatch, capsys,
+                                                      command, argv, env, message):
+    if env is not None:
+        monkeypatch.setenv("THERMOFIT_SEED", env)
+    out = tmp_path / "out"
+    target = out / "x.csv" if command == "simulate" else out
+    code = run_cli(command, *argv, "--output", str(target))
+    assert code == 4
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--lambda0", "nan"), "lambda0 must be non-negative and finite"),
+    (("--tol-grad", "inf"), "all tolerances must be positive and finite"),
+], ids=["lambda0-nan", "tol-grad-inf"])
+def test_non_finite_solver_option_exit_code(tmp_path, capsys, argv, message):
+    raw = tmp_path / "raw.csv"
+    assert run_cli("simulate", "--output", str(raw), "--duration", "60") == 0
+    code = run_cli("fit", "--input", str(raw), *argv)
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert f"error: {message}" in captured.err
 
 
 def test_pipeline_command_artifacts_and_schema(tmp_path, capsys):

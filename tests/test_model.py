@@ -10,7 +10,8 @@ Proves, among others:
  - step response boundary values, closed-form point checks, monotonicity
    and boundedness;
  - the three discrete realizations (poles and input gains), their unit DC
-   gain, the unstable-forward rejection, and first/second-order
+   gain, the unstable-forward rejection, the rejection of a pole that
+   rounds to 1 or a gain or delay that overflows, and first/second-order
    convergence of their step responses toward the continuous one;
  - the difference-equation simulator against a hand-iterated recurrence,
    the delay-equals-shift identity, and a delay longer than the input;
@@ -25,6 +26,7 @@ import numpy as np
 import pytest
 
 from thermofit import (
+    DISCRETIZATION_METHODS,
     DiscreteModel,
     FitParams,
     InvalidParameterError,
@@ -265,6 +267,16 @@ def test_discretize_rejects_bad_inputs():
     # backward and tustin stay stable at any positive sample time
     discretize(proc, "backward", 25.0)
     discretize(proc, "tustin", 25.0)
+    # results float64 cannot hold: a pole that rounds to 1 (sum(den) == 0),
+    # an overflowing dc_gain and an overflowing delay in samples
+    unrepresentable = [
+        (ProcessParams(1.0, 10.0, 0.0), "tustin", 1e-15),
+        (ProcessParams(1e308, 1e-308, 0.0), "tustin", 1.0),
+        (ProcessParams(1.0, 10.0, 0.0, dead_time=1e300), "tustin", 1e-300),
+    ] + [(ProcessParams(1.0, 1e10, 0.0), m, 1e-300) for m in DISCRETIZATION_METHODS]
+    for bad, method, ts in unrepresentable:
+        with pytest.raises(InvalidParameterError, match="float64"):
+            discretize(bad, method, ts)
 
 
 def test_discretize_dead_time_rounds_to_samples():

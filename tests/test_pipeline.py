@@ -20,7 +20,9 @@ Proves:
    record that stops short of its asymptote);
  - trial steps that overflow stay silent, and a record too large for
    float64 fails with SingularEquationsError, not with NumPy warnings,
-   also when tiny weights keep the weighted cost finite but not R^2.
+   also when tiny weights keep the weighted cost finite but not R^2; a
+   smoothed target that overflows is an InvalidParameterError with and
+   without ``p0``.
 """
 
 import warnings
@@ -429,6 +431,18 @@ def test_fit_series_overflow_is_a_numerical_error():
             warnings.simplefilter("error")
             with pytest.raises(SingularEquationsError):
                 fit_series(TimeSeries(ts.t, ts.y * scale, ts.rate))
+
+
+def test_fit_series_overflowing_smoothed_target_is_invalid_with_and_without_p0():
+    # the record is finite, but SG(3, 21) sums overflow to inf: the smoothed
+    # target is rejected as a TimeSeries, whether or not p0 is given
+    t = 0.5 * np.arange(200)
+    ts = TimeSeries(t, 1.79e308 * (0.05 * np.exp(-0.1 * t) + 0.95), 2.0)
+    for p0 in (None, FitParams(1.5e308, 1.2e308, 0.1)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError, match="t and y must be finite"):
+                fit_series(ts, smoothing=SGConfig(order=3, window=21), p0=p0)
 
 
 def test_fit_series_weighted_fit_with_non_finite_r_squared_is_a_numerical_error():

@@ -20,7 +20,8 @@ Proves:
    bitwise identical and scales the cost by the square;
  - identical inputs give bitwise identical results;
  - ``Weights.from_sigma`` rejects non-positive and NaN sigma, and sigma
-   whose square leaves float64, without a NumPy warning;
+   whose square leaves float64, without a NumPy warning; ``LMConfig``
+   rejects NaN and inf in each of its float fields;
  - data whose cost or normal matrix overflows float64 raise
    SingularEquationsError from lm_fit and lm_step without a NumPy warning,
    and on any finite data up to 1e300 lm_fit ends with a finite cost or
@@ -166,6 +167,11 @@ def test_config_validation():
         LMConfig(max_iter=0)
     with pytest.raises(InvalidParameterError):
         LMConfig(tol_grad=0.0)
+    for name in ("lambda0", "lambda_up", "lambda_down", "tol_grad", "tol_step",
+                 "tol_cost"):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(InvalidParameterError, match="finite"):
+                LMConfig(**{name: bad})
     LMConfig(lambda0=0.0)  # Gauss-Newton mode is allowed
 
 

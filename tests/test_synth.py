@@ -1,4 +1,5 @@
-"""Synthetic generator: grid arithmetic, determinism and noise statistics."""
+"""Synthetic generator: grid arithmetic, determinism and noise statistics,
+and the settings ``SynthSpec`` rejects because ``generate`` cannot honour them."""
 
 import numpy as np
 import pytest
@@ -73,3 +74,14 @@ def test_spec_validation():
         SynthSpec(truth=TRUTH, rate=100.0, duration=0.0)
     with pytest.raises(InvalidParameterError):
         SynthSpec(truth=TRUTH, rate=100.0, duration=10.0, noise_sigma=-0.1)
+    # what generate cannot honour: a sample grid float64 cannot hold exactly,
+    # a seed Philox refuses, and a noise level that is not finite
+    for settings, message in [
+        (dict(rate=1e150, duration=1e150), "duration \\* rate must be finite"),
+        (dict(rate=1.0, duration=2.0**53), "< 2\\*\\*53"),
+        (dict(rate=1.0, duration=10.0, seed=-1), "seed must be non-negative"),
+        (dict(rate=1.0, duration=10.0, noise_sigma=np.nan), "noise_sigma"),
+        (dict(rate=1.0, duration=10.0, noise_sigma=np.inf), "noise_sigma"),
+    ]:
+        with pytest.raises(InvalidParameterError, match=message):
+            SynthSpec(truth=TRUTH, **settings)
