@@ -28,8 +28,8 @@ class InvalidParameterError(ThermofitError):
 
 
 class UnstableDiscretizationError(ThermofitError):
-    """Forward-difference discretization would place the pole outside the
-    unit circle (sample_time >= 2 * tau)."""
+    """A fixed-step method would not settle: forward discretization at
+    sample_time >= 2 * tau, or an RK4 step beyond about 2.785 * tau."""
 
 
 class FilterConfigError(ThermofitError):

@@ -49,7 +49,8 @@ __all__ = [
     "DISCRETIZATION_METHODS",
 ]
 
-DISCRETIZATION_METHODS = ("tustin", "forward", "backward")
+_THETA = {"tustin": 0.5, "forward": 0.0, "backward": 1.0}  # see discretize
+DISCRETIZATION_METHODS = tuple(_THETA)
 
 
 @dataclass(frozen=True)
@@ -132,7 +133,11 @@ class DiscreteModel:
 
         y[n] = num[0] * u[n] + num[1] * u[n-1] - den[1] * y[n-1]
 
-    The input is additionally delayed by ``delay_samples`` whole samples.
+    :func:`discretize` sets ``num = (theta g, (1 - theta) g)`` (backward:
+    ``(g,)``) and ``den[1] = -pole`` with ``rho = tau / Ts``,
+    ``g = K / (rho + theta)``, ``pole = (rho - (1 - theta)) / (rho + theta)``
+    and theta 0.5 (tustin), 0 (forward) or 1 (backward).  The input is
+    additionally delayed by ``delay_samples`` whole samples.
     The model is a pure transfer-function realization: there is no ambient
     offset inside it, the caller supplies the initial output level.
     """
@@ -252,48 +257,36 @@ class ExponentialStepModel(ResidualModel):
 def discretize(p: ProcessParams, method: str, sample_time: float) -> DiscreteModel:
     """Convert the continuous first-order process into a difference equation.
 
-    The continuous transfer function ``K / (tau*s + 1)`` is mapped through
-    the chosen substitution for ``s``:
+    ``K / (tau*s + 1)`` is mapped through the theta-method substitution
+    ``s -> (z - 1) / (Ts (theta z + 1 - theta))`` with theta 0.5 (tustin),
+    0 (forward) or 1 (backward).  Every coefficient is computed through
+    ``rho = tau / Ts``, the samples per time constant:
 
-    ========  ============================  =====================================
-    method    substitution                  difference equation
-    ========  ============================  =====================================
-    forward   s -> (z - 1) / Ts             y[n] = (1 - Ts/tau) y[n-1]
-                                                   + (K Ts/tau) u[n-1]
-    backward  s -> (z - 1) / (Ts z)         y[n] = tau/(tau+Ts) y[n-1]
-                                                   + K Ts/(tau+Ts) u[n]
-    tustin    s -> (2/Ts) (z - 1)/(z + 1)   y[n] = (2tau-Ts)/(2tau+Ts) y[n-1]
-                                                   + K Ts/(2tau+Ts) (u[n]+u[n-1])
-    ========  ============================  =====================================
+        y[n] = pole y[n-1] + g (theta u[n] + (1 - theta) u[n-1])
+        g = K / (rho + theta),  pole = (rho - (1 - theta)) / (rho + theta)
 
-    Dead time becomes an integer input delay of ``round(dead_time / Ts)``
-    samples.  The forward method is rejected when ``Ts >= 2 * tau``, where
-    its pole leaves the unit circle; every method rejects a ``Ts / tau`` that
-    rounds the pole to 1 and a ``dc_gain`` or delay that overflows float64.
+    and backward drops its zero ``u[n-1]`` tap.  Dead time becomes an integer
+    input delay of ``round(dead_time / Ts)`` samples.  Forward is rejected
+    when ``rho <= 0.5`` (``Ts >= 2 tau``), where its pole leaves the unit
+    circle; every method rejects a pole that rounds to 1 and a ``rho``,
+    ``dc_gain`` or delay that overflows float64.
     """
     if not np.isfinite([sample_time, p.gain, p.tau, p.dead_time]).all():
         raise InvalidParameterError("sample_time, gain, tau, dead_time must be finite")
     if not sample_time > 0:
         raise InvalidParameterError("sample_time must be positive")
-    k, tau, ts = p.gain, p.tau, sample_time
-    if method == "forward":
-        if ts >= 2.0 * tau:
-            raise UnstableDiscretizationError(
-                f"forward method unstable: sample_time={ts} >= 2*tau={2.0 * tau}"
-            )
-        num = (0.0, k * ts / tau)
-        den = (1.0, -(1.0 - ts / tau))
-    elif method == "backward":
-        num = (k * ts / (tau + ts),)
-        den = (1.0, -(tau / (tau + ts)))
-    elif method == "tustin":
-        g = k * ts / (2.0 * tau + ts)
-        num = (g, g)
-        den = (1.0, -((2.0 * tau - ts) / (2.0 * tau + ts)))
-    else:
+    if method not in _THETA:
         raise InvalidParameterError(
             f"unknown method {method!r}; expected one of {DISCRETIZATION_METHODS}"
         )
+    theta, rho = _THETA[method], p.tau / sample_time
+    if method == "forward" and rho <= 0.5:
+        raise UnstableDiscretizationError(
+            f"forward method unstable: sample_time={sample_time} >= 2*tau={2.0 * p.tau}"
+        )
+    g = p.gain / (rho + theta)
+    num = (theta * g, (1.0 - theta) * g)[: 2 - int(theta)]  # backward: one tap
+    den = (1.0, -((rho - (1.0 - theta)) / (rho + theta)))
     ratio = p.dead_time / sample_time
     if sum(den) == 0 or not np.isfinite([sum(num) / sum(den), ratio]).all():
         raise InvalidParameterError("pole rounds to 1 or a ratio overflows float64")
@@ -326,9 +319,7 @@ def simulate_discrete(m: DiscreteModel, inputs, initial_temp: float) -> np.ndarr
         raise DataLengthError("input must be a non-empty 1-d sequence")
     d = min(m.delay_samples, u.size)
     u = np.concatenate([np.zeros(d), u[: u.size - d]])
-    q = m.num[0] * u[1:]
-    if len(m.num) == 2:
-        q += m.num[1] * u[:-1]
+    q = np.convolve(u, m.num)[1 : u.size]
     return _recurrence(m.pole - 1.0, q, initial_temp)
 
 
@@ -344,6 +335,8 @@ def simulate_continuous(
     On this linear ODE one RK4 step is exactly the affine map
     ``y[i+1] = y[i] + d*(y[i] - t_ambient - K*u[i])`` with
     ``d = x + x^2/2 + x^3/6 + x^4/24`` and ``x = -sample_time / tau``.
+    Beyond RK4's real-axis stability limit, ``sample_time`` about 2.785 tau,
+    ``1 + d`` exceeds 1 (or ``d`` is not finite): UnstableDiscretizationError.
     """
     if not sample_time > 0:
         raise InvalidParameterError("sample_time must be positive")
@@ -353,4 +346,9 @@ def simulate_continuous(
     proc = derive_process_params(p)
     x = -sample_time / proc.tau
     d = x * (1.0 + x / 2.0 * (1.0 + x / 3.0 * (1.0 + x / 4.0)))
+    if not -np.inf < d <= 0.0:  # d == 0 when sample_time / tau underflows
+        raise UnstableDiscretizationError(
+            f"RK4 unstable: sample_time={sample_time} is beyond about 2.785*tau "
+            f"(tau={proc.tau})"
+        )
     return _recurrence(d, -d * (p.t_ambient + proc.gain * u[:-1]), initial_temp)

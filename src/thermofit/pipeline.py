@@ -73,7 +73,7 @@ class TimeSeries:
             raise InvalidParameterError("time must be strictly increasing")
         nominal = 1.0 / self.rate
         worst = float(np.max(np.abs(dt - nominal))) / nominal
-        tol = max(1e-6, 4.0 * float(np.spacing(np.max(np.abs(t)))) / nominal)
+        tol = max(1e-6, 4.0 * float(np.spacing(max(-lo, hi))) / nominal)
         if worst > tol:
             raise NonUniformSamplingError(
                 f"sample spacing deviates from 1/rate by {worst:.3e} relative "

@@ -90,7 +90,7 @@ def outcome(parse, path):
     return ts.t.tobytes(), ts.y.tobytes(), ts.rate
 
 
-@settings(deadline=None, max_examples=500,
+@settings(max_examples=500,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=csv_texts())
 def test_parse_csv_agrees_with_row_loop(tmp_path, capsys, text):

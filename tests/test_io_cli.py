@@ -25,8 +25,10 @@ Proves:
    is not finite or reaches 2**53, a negative seed (also from
    THERMOFIT_SEED), a NaN noise level, a non-finite solver option, a
    non-finite ``discretize`` parameter, and a ``discretize`` result whose
-   pole rounds to 1 or whose gain or delay overflows), reports carry the
-   stable JSON schema, and THERMOFIT_SEED beats --seed;
+   pole rounds to 1 or whose gain or delay overflows), ``discretize`` exits
+   0 with the exact model where tau + Ts or Ts / tau overflows but the
+   result is representable, reports carry the stable JSON schema, and
+   THERMOFIT_SEED beats --seed;
  - ``pipeline`` smooths once, leaves no temporary directory behind
    without ``--output``, and importing the CLI loads no SciPy.
 """
@@ -560,6 +562,25 @@ def test_discretize_result_outside_float64_exit_code(capsys, argv):
     assert code == 4
     assert captured.out == ""
     assert "error: pole rounds to 1 or a ratio overflows float64" in captured.err
+
+
+@pytest.mark.parametrize("method, tau, ts, num, pole", [
+    ("backward", "1e308", "1e308", [0.5], 0.5),
+    ("tustin", "1e308", "1e308", [1 / 3, 1 / 3], 1 / 3),
+    ("backward", "1e-300", "1e10", [1.0], 1e-310),
+    ("tustin", "1e-300", "1e10", [1.0, 1.0], -1.0),
+], ids=["huge-backward", "huge-tustin", "tiny-tau-backward", "tiny-tau-tustin"])
+def test_discretize_extreme_but_representable_exit_code(capsys, method, tau, ts,
+                                                        num, pole):
+    # tau/Ts is computed once, so neither tau + Ts overflowing nor Ts/tau
+    # overflowing turns a representable model into an error
+    code = run_cli("discretize", "--gain", "1", "--tau", tau, "--ts", ts,
+                   "--method", method, "--format", "json")
+    assert code == 0
+    d = json.loads(capsys.readouterr().out)
+    assert d["num"] == pytest.approx(num, rel=1e-15)
+    assert d["pole"] == pytest.approx(pole, rel=1e-15)
+    assert d["dc_gain"] == pytest.approx(1.0, rel=1e-15)
 
 
 @pytest.mark.parametrize("argv, env, message", [

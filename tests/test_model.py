@@ -13,17 +13,24 @@ Proves, among others:
    gain, the unstable-forward rejection, the rejection of a pole that
    rounds to 1 or a gain or delay that overflows, and first/second-order
    convergence of their step responses toward the continuous one;
+ - as a property, every method's pole and input taps against the exact
+   theta-method coefficients in rational arithmetic, for tau and Ts
+   anywhere in 1e-300..1e300 and at tau = Ts = 1e308;
  - the difference-equation simulator against a hand-iterated recurrence,
    the delay-equals-shift identity, and a delay longer than the input;
  - both simulators against their per-sample recurrences (the difference
    equation, and RK4's four stages of the ODE);
- - RK4 against the closed-form solution of the linear ODE.
+ - RK4 against the closed-form solution of the linear ODE, and its
+   rejection of a step past the real-axis stability limit (about 2.785 tau).
 """
 
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from thermofit import (
     DISCRETIZATION_METHODS,
@@ -279,6 +286,47 @@ def test_discretize_rejects_bad_inputs():
             discretize(bad, method, ts)
 
 
+EPS = Fraction(2) ** -52
+THETA = {"tustin": Fraction(1, 2), "forward": Fraction(0), "backward": Fraction(1)}
+log_uniform = st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0**e)
+moderate_gains = st.tuples(
+    st.floats(min_value=-3.0, max_value=3.0), st.sampled_from((1.0, -1.0))
+).map(lambda es: es[1] * 10.0 ** es[0])
+
+
+@given(method=st.sampled_from(DISCRETIZATION_METHODS), tau=log_uniform,
+       ts=log_uniform, gain=moderate_gains)
+@example(method="backward", tau=1e308, ts=1e308, gain=1.0)
+@example(method="tustin", tau=1e308, ts=1e308, gain=1.0)
+@example(method="forward", tau=1e308, ts=1e308, gain=1.0)
+def test_discretize_matches_exact_theta_method(method, tau, ts, gain):
+    # s -> (z - 1) / (Ts (theta z + 1 - theta)) in exact rationals
+    theta, rho = THETA[method], Fraction(tau) / Fraction(ts)
+    pole = (rho - (1 - theta)) / (rho + theta)
+    g = Fraction(gain) / (rho + theta)
+    num = [theta * g, (1 - theta) * g][: 1 if theta == 1 else 2]
+    try:
+        m = discretize(ProcessParams(gain, tau, 0.0), method, ts)
+    except UnstableDiscretizationError:
+        assert method == "forward" and rho <= Fraction(1, 2) * (1 + EPS)
+        return
+    except InvalidParameterError:
+        assert 1 - pole <= 4 * EPS, (float(rho), float(pole))
+        return
+    assert method != "forward" or rho > Fraction(1, 2)
+    assert abs(Fraction(m.pole) - pole) <= 4 * EPS, (m.pole, float(pole))
+    assert len(m.num) == len(num)
+    for got, want in zip(m.num, num):
+        assert abs(Fraction(got) - want) <= 4 * EPS * abs(want), (got, float(want))
+
+
+def test_discretize_rejects_a_pole_within_an_ulp_of_1_for_every_method():
+    # tau / Ts = 1e16: every method's pole rounds to 1 in rho form
+    for method in DISCRETIZATION_METHODS:
+        with pytest.raises(InvalidParameterError, match="float64"):
+            discretize(ProcessParams(1.0, 10.0, 0.0), method, 1e-15)
+
+
 def test_discretize_dead_time_rounds_to_samples():
     proc = ProcessParams(1.0, 10.0, 0.0, dead_time=2.6)
     assert discretize(proc, "backward", 1.0).delay_samples == 3
@@ -463,6 +511,20 @@ def test_simulate_continuous_matches_rk4_stages():
             y.append(y[-1] + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
         out = simulate_continuous(BOX, u, 20.0, h)
         assert np.max(np.abs(out - y)) <= 1e-13 * np.max(np.abs(y)), h
+
+
+def test_simulate_continuous_rejects_steps_past_rk4_stability():
+    # tau = 60.3 s; RK4's step factor 1 + d reaches 1 at h = 2.785 tau
+    box = PhysicalParams(2.0, 1.0, 20.0, 1.2, 1005.0, t_ambient=20.0)
+    tau = derive_process_params(box).tau
+    for h in (200.0, 1e300, np.inf, 2.79 * tau):
+        with pytest.raises(UnstableDiscretizationError, match="RK4"):
+            simulate_continuous(box, np.ones(5), 20.0, h)
+    y = simulate_continuous(box, np.ones(2000), 20.0, 2.78 * tau)
+    assert np.all(np.isfinite(y)) and abs(y[-1] - 20.1) < 1e-6
+    # a step so short that h / tau underflows to 0 holds the start level
+    y = simulate_continuous(box, np.ones(3), 20.0, 5e-324)
+    np.testing.assert_array_equal(y, 20.0)
 
 
 def test_simulate_continuous_rejects_bad_inputs():

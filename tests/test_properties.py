@@ -18,7 +18,7 @@ moves it by 5e-7 relative (2.4e-5 standard errors).
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from thermofit import FitParams, SynthSpec, TimeSeries, fit_series, generate
@@ -61,7 +61,6 @@ def fit_and_resolution(ts):
     return np.array([rep.fit.a, rep.fit.b, rep.fit.c]), flat * se
 
 
-@settings(deadline=None)
 @given(seed=seeds, t0=st.floats(min_value=-1e4, max_value=4e9))
 def test_time_shift_leaves_fit_unchanged(seed, t0):
     base = noisy_record(seed)
@@ -74,7 +73,6 @@ def test_time_shift_leaves_fit_unchanged(seed, t0):
 magnitudes = st.floats(min_value=1e-2, max_value=1e2)
 
 
-@settings(deadline=None)
 @given(
     seed=seeds,
     alpha=st.tuples(magnitudes, st.sampled_from((1.0, -1.0))).map(

@@ -35,7 +35,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import (
@@ -365,7 +365,6 @@ def test_overflowing_data_raise_singular_without_warning():
                 lm_step(ExponentialStepModel(), ts.t, y, None, p0, 1e-3)
 
 
-@settings(deadline=None)
 @given(
     y=st.lists(st.floats(min_value=-1e300, max_value=1e300), min_size=10, max_size=10),
     c0=st.floats(min_value=1e-3, max_value=10.0),
