@@ -140,6 +140,8 @@ class DiscreteModel:
     additionally delayed by ``delay_samples`` whole samples.
     The model is a pure transfer-function realization: there is no ambient
     offset inside it, the caller supplies the initial output level.
+    A realization needs ``0 < sample_time < inf``, finite ``num`` and
+    ``den[1]``, a pole other than exactly 1 and a finite ``dc_gain``.
     """
 
     num: tuple[float, ...]
@@ -156,6 +158,10 @@ class DiscreteModel:
             )
         if self.delay_samples < 0:
             raise InvalidParameterError("delay_samples must be non-negative")
+        # dc_gain divides by 1 - pole, so the pole is tested first
+        finite = [self.sample_time, *self.num, self.den[1]]
+        if self.pole == 1 or not np.isfinite([*finite, self.dc_gain]).all():
+            raise InvalidParameterError("pole rounds to 1 or a ratio overflows float64")
 
     @property
     def pole(self) -> float:
@@ -164,7 +170,10 @@ class DiscreteModel:
 
     @property
     def dc_gain(self) -> float:
-        """Steady-state output per unit constant input: sum(num)/sum(den)."""
+        """Steady-state output per unit input of the stored coefficients,
+        sum(num)/sum(den): the level :func:`simulate_discrete` settles to.  As
+        the pole is stored rounded to float64, for ``tau / Ts >> 1`` this
+        differs from K by up to about ``eps * tau / Ts`` relative."""
         return sum(self.num) / sum(self.den)
 
 
@@ -186,15 +195,12 @@ def ode_rhs(p: PhysicalParams, temp: float, volts: float) -> float:
     return (q_gen - q_loss) / (p.rho * p.cp)
 
 
-def derive_process_params(p: PhysicalParams, dead_time: float = 0.0) -> ProcessParams:
-    """Collapse the physical constants into the lumped first-order form."""
+def derive_process_params(p: PhysicalParams) -> ProcessParams:
+    """Collapse the physical constants into the lumped first-order form; the
+    energy balance has no transport delay, so ``dead_time`` is 0."""
     au = p.area * p.heat_transfer_coeff
-    return ProcessParams(
-        gain=p.lamp_constant / au,
-        tau=p.rho * p.cp / au,
-        t_ambient=p.t_ambient,
-        dead_time=dead_time,
-    )
+    return ProcessParams(gain=p.lamp_constant / au, tau=p.rho * p.cp / au,
+                         t_ambient=p.t_ambient)
 
 
 def process_to_fit(p: ProcessParams) -> FitParams:
@@ -288,7 +294,7 @@ def discretize(p: ProcessParams, method: str, sample_time: float) -> DiscreteMod
     num = (theta * g, (1.0 - theta) * g)[: 2 - int(theta)]  # backward: one tap
     den = (1.0, -((rho - (1.0 - theta)) / (rho + theta)))
     ratio = p.dead_time / sample_time
-    if sum(den) == 0 or not np.isfinite([sum(num) / sum(den), ratio]).all():
+    if not np.isfinite(ratio):
         raise InvalidParameterError("pole rounds to 1 or a ratio overflows float64")
     delay = int(round(ratio))
     return DiscreteModel(num=num, den=den, sample_time=sample_time, delay_samples=delay)

@@ -209,8 +209,7 @@ def fit_series(
             "meeting any tolerance"
         )
 
-    fitted = step_response(fit, t)
-    fitted.flags.writeable = False
+    fitted = _readonly(step_response(fit, t))
     r2 = r_squared(target.y, fitted)
     # lm_fit itself raises on a cost that overflows
     if not (np.isfinite(r2) and np.isfinite(fitted).all()):

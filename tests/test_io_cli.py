@@ -27,8 +27,9 @@ Proves:
    non-finite ``discretize`` parameter, and a ``discretize`` result whose
    pole rounds to 1 or whose gain or delay overflows), ``discretize`` exits
    0 with the exact model where tau + Ts or Ts / tau overflows but the
-   result is representable, reports carry the stable JSON schema, and
-   THERMOFIT_SEED beats --seed;
+   result is representable, reports carry the stable JSON schema and parse
+   as strict JSON (no NaN or Infinity, also when the damping saturates),
+   and THERMOFIT_SEED beats --seed;
  - ``pipeline`` smooths once, leaves no temporary directory behind
    without ``--output``, and importing the CLI loads no SciPy.
 """
@@ -290,6 +291,15 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
+def strict_json(text):
+    """Parse a CLI JSON report, rejecting NaN and Infinity as jq does."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def test_simulate_writes_parseable_csv(tmp_path):
     out = tmp_path / "sim.csv"
     code = run_cli(
@@ -325,7 +335,7 @@ def test_fit_command_report_and_overlay(tmp_path, capsys):
         "fit", "--input", str(raw), "--output", str(overlay), "--format", "json",
     )
     assert code == 0
-    report = json.loads(capsys.readouterr().out)
+    report = strict_json(capsys.readouterr().out)
     assert REPORT_KEYS <= set(report)
     assert report["a"] == pytest.approx(30.0, rel=1e-6)
     assert report["b"] == pytest.approx(25.0, rel=1e-6)
@@ -345,7 +355,7 @@ def test_fit_command_fits_and_overlays_on_elapsed_time(tmp_path, capsys):
         "fit", "--input", str(raw), "--output", str(overlay), "--format", "json",
     )
     assert code == 0
-    report = json.loads(capsys.readouterr().out)
+    report = strict_json(capsys.readouterr().out)
     assert report["a"] == pytest.approx(30.0, rel=1e-6)
     assert report["c"] == pytest.approx(0.01, rel=1e-6)
     rows = np.array(
@@ -356,6 +366,17 @@ def test_fit_command_fits_and_overlays_on_elapsed_time(tmp_path, capsys):
     np.testing.assert_allclose(rows[:, 3], clean.y, atol=1e-6)
 
 
+def test_fit_command_saturated_damping_report_is_strict_json(tmp_path, capsys):
+    # lambda0 = 1e308 rejects the first step; the damping then stays at the
+    # largest finite float instead of printing Infinity, which is not JSON
+    raw = tmp_path / "raw.csv"
+    run_cli("simulate", "--output", str(raw), "--duration", "60")
+    code = run_cli("fit", "--input", str(raw), "--lambda0", "1e308", "--format", "json")
+    assert code == 0
+    report = strict_json(capsys.readouterr().out)
+    assert report["lambda_final"] == np.finfo(float).max
+
+
 def test_fit_command_with_uniform_sigma_weights(tmp_path, capsys):
     raw = tmp_path / "raw.csv"
     run_cli("simulate", "--output", str(raw), "--sigma", "0", "--duration", "300")
@@ -363,7 +384,7 @@ def test_fit_command_with_uniform_sigma_weights(tmp_path, capsys):
         "fit", "--input", str(raw), "--sigma", "0.5", "--format", "json"
     )
     assert code == 0
-    report = json.loads(capsys.readouterr().out)
+    report = strict_json(capsys.readouterr().out)
     # uniform weights rescale the cost but not the solution
     assert report["c"] == pytest.approx(0.01, rel=1e-6)
     # a sigma whose square underflows is rejected like a negative one,
@@ -577,7 +598,7 @@ def test_discretize_extreme_but_representable_exit_code(capsys, method, tau, ts,
     code = run_cli("discretize", "--gain", "1", "--tau", tau, "--ts", ts,
                    "--method", method, "--format", "json")
     assert code == 0
-    d = json.loads(capsys.readouterr().out)
+    d = strict_json(capsys.readouterr().out)
     assert d["num"] == pytest.approx(num, rel=1e-15)
     assert d["pole"] == pytest.approx(pole, rel=1e-15)
     assert d["dc_gain"] == pytest.approx(1.0, rel=1e-15)
@@ -621,14 +642,14 @@ def test_pipeline_command_artifacts_and_schema(tmp_path, capsys):
         "pipeline", "--output", str(outdir), "--format", "json", "--seed", "12",
     )
     assert code == 0
-    report = json.loads(capsys.readouterr().out)
+    report = strict_json(capsys.readouterr().out)
     assert REPORT_KEYS <= set(report)
     for name in ("raw.csv", "smoothed.csv", "overlay.csv", "report.json"):
         assert (outdir / name).exists(), name
     # artifacts are re-parseable by our own readers
     assert parse_csv(outdir / "raw.csv").n == 30001
     assert parse_csv(outdir / "smoothed.csv").n == 30001
-    on_disk = json.loads((outdir / "report.json").read_text())
+    on_disk = strict_json((outdir / "report.json").read_text())
     assert on_disk == report
     # defaults recover the generator truth within the documented 2%
     assert abs(report["a"] - 30.0) / 30.0 < 0.02
@@ -686,7 +707,7 @@ def test_each_column_is_formatted_once(tmp_path, formatted, capsys):
 def test_pipeline_without_output_leaves_no_directory(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     assert run_cli("pipeline", "--duration", "30", "--format", "json") == 0
-    assert "c" in json.loads(capsys.readouterr().out)
+    assert "c" in strict_json(capsys.readouterr().out)
     assert list(tmp_path.iterdir()) == []
 
 

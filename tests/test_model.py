@@ -16,6 +16,9 @@ Proves, among others:
  - as a property, every method's pole and input taps against the exact
    theta-method coefficients in rational arithmetic, for tau and Ts
    anywhere in 1e-300..1e300 and at tau = Ts = 1e308;
+ - ``DiscreteModel`` itself rejects what is not a first-order realization:
+   another shape, a NaN tap, an infinite ``den[1]`` or sample time, a pole
+   of exactly 1 and a DC gain that overflows;
  - the difference-equation simulator against a hand-iterated recurrence,
    the delay-equals-shift identity, and a delay longer than the input;
  - both simulators against their per-sample recurrences (the difference
@@ -365,6 +368,17 @@ def test_discrete_model_invariants():
     ):
         with pytest.raises(InvalidParameterError):
             DiscreteModel(num=num, den=den, sample_time=1.0)
+    # a realization: finite taps, den[1] and sample time, a pole other than
+    # exactly 1 (dc_gain divides by 1 - pole) and a dc_gain finite in float64
+    for num, den, ts in (
+        ((np.nan,), (1.0, -0.9), 1.0),
+        ((0.1,), (1.0, np.inf), 1.0),
+        ((0.1,), (1.0, -0.9), np.inf),
+        ((0.1,), (1.0, -1.0), 1.0),
+        ((1e308, 1e308), (1.0, -0.5), 1.0),
+    ):
+        with pytest.raises(InvalidParameterError, match="^pole rounds to 1 or a ratio"):
+            DiscreteModel(num=num, den=den, sample_time=ts)
 
 
 # ------------------------------------------------------- discrete simulation
