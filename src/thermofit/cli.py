@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -95,6 +96,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format_opt(pipe)
     pipe.set_defaults(handler=_cmd_pipeline)
 
+    # argparse reads "-1e-3" as an option; no option of ours looks like a number
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = re.compile(r"^-\.?\d")
     return parser
 
 
@@ -198,16 +202,14 @@ def _synth_spec(args) -> SynthSpec:
     )
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> None:
     write_csv(args.output, generate(_synth_spec(args)))
-    return EXIT_OK
 
 
-def _cmd_smooth(args) -> int:
+def _cmd_smooth(args) -> None:
     cfg = SGConfig(order=args.order, window=args.window)
     ts = parse_csv(args.input)
     write_csv(args.output, TimeSeries(ts.t, sg_smooth(ts.y, cfg), ts.rate))
-    return EXIT_OK
 
 
 def _fit_overrides(args) -> FitParams | None:
@@ -221,7 +223,7 @@ def _fit_overrides(args) -> FitParams | None:
     return FitParams(args.a0, args.b0, args.c0)
 
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(args) -> dict:
     p0 = _fit_overrides(args)  # validate flags before touching the file
     smoothing = _smoothing(args)
     ts = parse_csv(args.input)
@@ -230,16 +232,15 @@ def _cmd_fit(args) -> int:
                         weights=weights, p0=p0)
     if args.output:
         write_overlay(args.output, ts.t, ts.y, report.target, report.fitted)
-    print(_render(report_dict(report), args.format))
-    return EXIT_OK
+    return report_dict(report)
 
 
-def _cmd_discretize(args) -> int:
+def _cmd_discretize(args) -> dict:
     proc = ProcessParams(
         gain=args.gain, tau=args.tau, t_ambient=0.0, dead_time=args.dead_time
     )
     m = discretize(proc, args.method, args.ts)
-    d = {
+    return {
         "method": args.method,
         "sample_time": m.sample_time,
         "num": list(m.num),
@@ -248,24 +249,22 @@ def _cmd_discretize(args) -> int:
         "dc_gain": m.dc_gain,
         "delay_samples": m.delay_samples,
     }
-    print(_render(d, args.format))
-    return EXIT_OK
 
 
-def _cmd_pipeline(args) -> int:
+def _cmd_pipeline(args) -> dict:
     spec = _synth_spec(args)
     with tempfile.TemporaryDirectory(prefix="thermofit-") as tmp:
         outdir = Path(args.output or tmp)
         outdir.mkdir(parents=True, exist_ok=True)
-        write_csv(outdir / "raw.csv", generate(spec))
-        ts = parse_csv(outdir / "raw.csv")  # round trip through the file on purpose
+        raw = outdir / "raw.csv"
+        write_csv(raw, generate(spec))
+        ts = parse_csv(raw)  # round trip through the file on purpose
         report = fit_series(ts, smoothing=_smoothing(args), cfg=_lm_config(args))
-        write_smoothed_and_overlay(outdir / "raw.csv", outdir / "smoothed.csv",
-                                   outdir / "overlay.csv", report.target, report.fitted)
+        write_smoothed_and_overlay(raw, outdir / "smoothed.csv", outdir / "overlay.csv",
+                                   report.target, report.fitted)
         d = report_dict(report)
         (outdir / "report.json").write_text(_render(d, "json") + "\n", encoding="utf-8")
-    print(_render(d, args.format))
-    return EXIT_OK
+    return d
 
 
 # The first match wins, so the subclasses of ThermofitError come before it.
@@ -280,10 +279,13 @@ _HANDLED = tuple(cls for classes, _ in _EXIT_CODES for cls in classes)
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        report = args.handler(args)  # None from the commands that only write files
+        if report is not None:
+            print(_render(report, args.format))
     except _HANDLED as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for classes, code in _EXIT_CODES if isinstance(exc, classes))
+    return EXIT_OK
 
 
 if __name__ == "__main__":

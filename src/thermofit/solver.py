@@ -10,10 +10,10 @@ by iterating the diagonally scaled damped update
 
 where ``J`` is the model Jacobian ``d yhat / d p`` and ``W = diag(w)``.
 A candidate step is accepted only if it strictly decreases ``F``; ``lam``
-is divided by ``lambda_down`` on acceptance and multiplied by ``lambda_up``
-on rejection, so the damping interpolates between Gauss-Newton (lam -> 0)
-and scaled gradient descent (lam large).  The diagonal scaling makes the
-step invariant to a uniform rescaling of the outputs.
+is divided by 10 on acceptance and multiplied by 10 on rejection, so the
+damping interpolates between Gauss-Newton (lam -> 0) and scaled gradient
+descent (lam large).  The diagonal scaling makes the step invariant to a
+uniform rescaling of the outputs.
 
 The solver works on bare parameter vectors and enforces no bounds; callers
 validate domain invariants on the final result.
@@ -38,6 +38,10 @@ __all__ = [
     "lm_fit",
     "validate_jacobian",
 ]
+
+_DAMPING = 10.0  # divides lam after an accepted step, multiplies it after a rejection
+_TOL_STEP = 1e-10  # relative parameter step that stops a run
+_TOL_COST = 1e-12  # relative cost decrease that stops a run
 
 
 class ResidualModel(abc.ABC):
@@ -96,31 +100,25 @@ class Weights:
 
 @dataclass(frozen=True)
 class LMConfig:
-    """Damping schedule and termination tolerances.
+    """The solver settings the CLI exposes.  :func:`lm_fit` fixes the rest:
+    damping factor 10, step tolerance 1e-10 and cost tolerance 1e-12.
 
     ``lambda0 = 0`` runs undamped Gauss-Newton; the multiplicative schedule
     then keeps the damping pinned at zero for the whole run.
     """
 
     lambda0: float = 1e-3
-    lambda_up: float = 10.0
-    lambda_down: float = 10.0
     max_iter: int = 200
     tol_grad: float = 1e-8
-    tol_step: float = 1e-10
-    tol_cost: float = 1e-12
 
     def __post_init__(self):
         # a range test `not lo <= x < hi` rejects NaN as well
         if not 0 <= self.lambda0 < np.inf:
             raise InvalidParameterError("lambda0 must be non-negative and finite")
-        if not all(1 < f < np.inf for f in (self.lambda_up, self.lambda_down)):
-            raise InvalidParameterError("lambda_up, lambda_down must be finite and > 1")
         if not self.max_iter >= 1:
             raise InvalidParameterError("max_iter must be at least 1")
-        tols = (self.tol_grad, self.tol_step, self.tol_cost)
-        if not all(0 < tol < np.inf for tol in tols):
-            raise InvalidParameterError("all tolerances must be positive and finite")
+        if not 0 < self.tol_grad < np.inf:
+            raise InvalidParameterError("tol_grad must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -131,9 +129,8 @@ class FitResult:
     rejected); ``accepted_steps`` counts actual parameter updates.
     ``converged`` names the criterion that stopped the run: ``"grad"``
     (max-norm of J^T W r below tol_grad), ``"step"`` (relative parameter
-    step below tol_step), ``"cost"`` (relative cost decrease below
-    tol_cost) or ``"max_iter"``.  ``normal_matrix`` is J^T W J at
-    ``params``.
+    step below 1e-10), ``"cost"`` (relative cost decrease below 1e-12) or
+    ``"max_iter"``.  ``normal_matrix`` is J^T W J at ``params``.
     """
 
     params: np.ndarray
@@ -216,13 +213,14 @@ def lm_fit(
 ) -> FitResult:
     """Iterate damped steps from ``p0`` until a tolerance or the cap fires.
 
-    A step is accepted only when it strictly decreases the weighted cost;
-    on rejection the damping grows (to at most the largest finite float)
-    and the step is re-solved at the same point, reusing the already-computed
-    J, J^T W J and J^T W r.  The sequence of accepted costs is therefore
-    strictly decreasing.  The step test applies to rejected steps too, so a
-    run whose every step is rejected at the floating-point floor still stops
-    (Madsen, Nielsen & Tingleff 2004, Alg. 3.16).
+    A step is accepted only when it strictly decreases the weighted cost,
+    which divides the damping by 10; a rejection multiplies it by 10 (to at
+    most the largest finite float) and re-solves the step at the same point,
+    reusing the already-computed J, J^T W J and J^T W r.  The sequence of
+    accepted costs is therefore strictly decreasing.  The step test (1e-10)
+    applies to rejected steps too, so a run whose every step is rejected at
+    the floating-point floor still stops (Madsen, Nielsen & Tingleff 2004,
+    Alg. 3.16).  The cost test fires on a relative decrease below 1e-12.
     Non-convergence is reported through ``converged``, never raised.  Data
     whose cost or normal matrix overflows float64 raise SingularEquationsError.
 
@@ -262,16 +260,16 @@ def lm_fit(
             rel_decrease = (cost - cost_new) / cost
             p, r = p_new, r_new
             cost = cost_new
-            lam = lam / cfg.lambda_down
+            lam = lam / _DAMPING
             a, g = _system(model, t, w, p, r)
             if callback is not None:
                 callback(accepted, p.copy(), cost, lam)
         else:
             rel_decrease = np.inf  # a rejected step cannot stall the cost
-            lam = min(lam * cfg.lambda_up, np.finfo(float).max)  # a JSON number
-        if np.linalg.norm(h) <= cfg.tol_step * (np.linalg.norm(p) + cfg.tol_step):
+            lam = min(lam * _DAMPING, np.finfo(float).max)  # a JSON number
+        if np.linalg.norm(h) <= _TOL_STEP * (np.linalg.norm(p) + _TOL_STEP):
             stop = "step"
-        elif rel_decrease < cfg.tol_cost:
+        elif rel_decrease < _TOL_COST:
             stop = "cost"
     else:
         stop = "max_iter"  # the cap outranks a test its last iteration raised

@@ -30,6 +30,8 @@ Proves:
    result is representable, reports carry the stable JSON schema and parse
    as strict JSON (no NaN or Infinity, also when the damping saturates),
    and THERMOFIT_SEED beats --seed;
+ - numeric options take negative numbers in scientific notation
+   (``--gain -1e-3``, ``--b0 -2e1``);
  - ``pipeline`` smooths once, leaves no temporary directory behind
    without ``--output``, and importing the CLI loads no SciPy.
 """
@@ -604,6 +606,29 @@ def test_discretize_extreme_but_representable_exit_code(capsys, method, tau, ts,
     assert d["dc_gain"] == pytest.approx(1.0, rel=1e-15)
 
 
+@pytest.mark.parametrize("argv", [
+    ("discretize", "--gain", "-1e-3", "--tau", "10", "--ts", "1",
+     "--method", "tustin"),
+    ("simulate", "--b0", "-2e1", "--sigma", "0"),
+    ("pipeline", "--b0", "-2e1", "--window", "0"),
+], ids=["discretize-gain", "simulate-b0", "pipeline-b0"])
+def test_negative_scientific_notation_is_a_number(tmp_path, capsys, argv):
+    # argparse's own negative-number pattern has no exponent: with it, "-1e-3"
+    # is taken for an option and the command exits 2
+    raw = tmp_path / "raw.csv"
+    output = ("--output", str(raw)) if argv[0] == "simulate" else ("--format", "json")
+    assert run_cli(*argv, *output) == 0
+    if argv[0] == "simulate":
+        assert parse_csv(raw).y[-1] == pytest.approx(-20 + 50 * np.exp(-3))
+        return
+    d = strict_json(capsys.readouterr().out)
+    if argv[0] == "discretize":
+        assert all(n < 0 for n in d["num"])
+        assert d["dc_gain"] == pytest.approx(-1e-3)
+    else:
+        assert d["b"] == pytest.approx(-20, abs=0.1)
+
+
 @pytest.mark.parametrize("argv, env, message", [
     (("--seed", "-1"), None, "seed must be non-negative"),
     ((), "-1", "seed must be non-negative"),
@@ -624,7 +649,7 @@ def test_generator_setting_it_cannot_honour_exit_code(tmp_path, monkeypatch, cap
 
 @pytest.mark.parametrize("argv, message", [
     (("--lambda0", "nan"), "lambda0 must be non-negative and finite"),
-    (("--tol-grad", "inf"), "all tolerances must be positive and finite"),
+    (("--tol-grad", "inf"), "tol_grad must be positive and finite"),
 ], ids=["lambda0-nan", "tol-grad-inf"])
 def test_non_finite_solver_option_exit_code(tmp_path, capsys, argv, message):
     raw = tmp_path / "raw.csv"

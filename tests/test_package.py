@@ -4,11 +4,18 @@ Proves:
  - ``thermofit.__all__`` is the modules' ``__all__`` lists joined, without
    duplicates, and each name is the object its defining module binds;
  - every public class and function a module defines is in its ``__all__``;
- - the CLI's ``--lambda0``, ``--max-iter`` and ``--tol-grad`` defaults of
-   ``fit`` and ``pipeline`` are ``LMConfig``'s.
+ - the CLI's ``--lambda0``, ``--max-iter`` and ``--tol-grad`` options of
+   ``fit`` and ``pipeline`` are exactly ``LMConfig``'s fields, with its
+   defaults;
+ - ``pyproject.toml`` takes the version from ``thermofit.__version__``.
 """
 
+import dataclasses
 import inspect
+import sys
+from pathlib import Path
+
+import pytest
 
 import thermofit
 from thermofit import LMConfig, errors, io, model, pipeline, sgolay, solver, synth
@@ -43,9 +50,24 @@ def test_modules_declare_every_public_definition():
 
 def test_lm_option_defaults_are_lm_config_defaults():
     cfg = LMConfig()
+    names = [f.name for f in dataclasses.fields(LMConfig)]
+    assert names == ["lambda0", "max_iter", "tol_grad"]
     parser = build_parser()
     for argv in (["fit", "--input", "in.csv"], ["pipeline"]):
         args = parser.parse_args(argv)
-        assert (args.lambda0, args.max_iter, args.tol_grad) == (
-            cfg.lambda0, cfg.max_iter, cfg.tol_grad
-        ), argv
+        assert [getattr(args, name) for name in names] == [
+            getattr(cfg, name) for name in names
+        ], argv
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in 3.11")
+def test_version_is_stated_once():
+    import tomllib
+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as f:
+        config = tomllib.load(f)
+    assert "version" not in config["project"]
+    assert config["project"]["dynamic"] == ["version"]
+    dynamic = config["tool"]["setuptools"]["dynamic"]
+    assert dynamic["version"] == {"attr": "thermofit.__version__"}

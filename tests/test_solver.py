@@ -160,15 +160,10 @@ def test_config_validation():
     with pytest.raises(InvalidParameterError):
         LMConfig(lambda0=-1.0)
     with pytest.raises(InvalidParameterError):
-        LMConfig(lambda_up=1.0)
-    with pytest.raises(InvalidParameterError):
-        LMConfig(lambda_down=0.5)
-    with pytest.raises(InvalidParameterError):
         LMConfig(max_iter=0)
     with pytest.raises(InvalidParameterError):
         LMConfig(tol_grad=0.0)
-    for name in ("lambda0", "lambda_up", "lambda_down", "tol_grad", "tol_step",
-                 "tol_cost"):
+    for name in ("lambda0", "tol_grad"):
         for bad in (np.nan, np.inf):
             with pytest.raises(InvalidParameterError, match="finite"):
                 LMConfig(**{name: bad})
