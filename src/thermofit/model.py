@@ -82,8 +82,10 @@ class PhysicalParams:
 
     def __post_init__(self):
         for name in ("lamp_constant", "area", "heat_transfer_coeff", "rho", "cp"):
-            if not getattr(self, name) > 0:
-                raise InvalidParameterError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise InvalidParameterError(f"{name} must be positive and finite")
+        if not np.isfinite(self.t_ambient):
+            raise InvalidParameterError("t_ambient must be finite")
 
 
 @dataclass(frozen=True)

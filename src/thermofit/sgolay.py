@@ -56,14 +56,14 @@ def sg_projection(cfg: SGConfig) -> np.ndarray:
     """Projection matrix (window x window) onto degree-<=order polynomials.
 
     Symmetric and idempotent.  Raises FilterConfigError when the design
-    matrix is numerically rank-deficient, which signals an order too high
-    for the window to support.
+    matrix is numerically rank-deficient or overflows float64, which
+    signals an order too high for the window to support.
     """
     x = np.arange(-cfg.half, cfg.half + 1, dtype=float)
-    v = np.vander(x, cfg.order + 1, increasing=True)
-    q, r = np.linalg.qr(v)
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN fails the test below
+        q, r = np.linalg.qr(np.vander(x, cfg.order + 1, increasing=True))
     diag = np.abs(np.diag(r))
-    if diag.min() <= cfg.window * np.finfo(float).eps * diag.max():
+    if not diag.min() > cfg.window * np.finfo(float).eps * diag.max():
         raise FilterConfigError(
             f"design matrix numerically singular for order={cfg.order}, "
             f"window={cfg.window}; reduce the order"

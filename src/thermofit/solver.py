@@ -41,7 +41,6 @@ __all__ = [
 
 _DAMPING = 10.0  # divides lam after an accepted step, multiplies it after a rejection
 _TOL_STEP = 1e-10  # relative parameter step that stops a run
-_TOL_COST = 1e-12  # relative cost decrease that stops a run
 
 
 class ResidualModel(abc.ABC):
@@ -101,7 +100,7 @@ class Weights:
 @dataclass(frozen=True)
 class LMConfig:
     """The solver settings the CLI exposes.  :func:`lm_fit` fixes the rest:
-    damping factor 10, step tolerance 1e-10 and cost tolerance 1e-12.
+    damping factor 10 and step tolerance 1e-10.
 
     ``lambda0 = 0`` runs undamped Gauss-Newton; the multiplicative schedule
     then keeps the damping pinned at zero for the whole run.
@@ -127,10 +126,9 @@ class FitResult:
 
     ``iterations`` counts candidate-step computations (accepted plus
     rejected); ``accepted_steps`` counts actual parameter updates.
-    ``converged`` names the criterion that stopped the run: ``"grad"``
-    (max-norm of J^T W r below tol_grad), ``"step"`` (relative parameter
-    step below 1e-10), ``"cost"`` (relative cost decrease below 1e-12) or
-    ``"max_iter"``.  ``normal_matrix`` is J^T W J at ``params``.
+    ``converged`` names the test that stopped the run: ``"grad"`` (max-norm
+    of J^T W r below tol_grad), ``"step"`` (relative parameter step below
+    1e-10) or ``"max_iter"``.  ``normal_matrix`` is J^T W J at ``params``.
     """
 
     params: np.ndarray
@@ -217,10 +215,10 @@ def lm_fit(
     which divides the damping by 10; a rejection multiplies it by 10 (to at
     most the largest finite float) and re-solves the step at the same point,
     reusing the already-computed J, J^T W J and J^T W r.  The sequence of
-    accepted costs is therefore strictly decreasing.  The step test (1e-10)
-    applies to rejected steps too, so a run whose every step is rejected at
-    the floating-point floor still stops (Madsen, Nielsen & Tingleff 2004,
-    Alg. 3.16).  The cost test fires on a relative decrease below 1e-12.
+    accepted costs is therefore strictly decreasing.  The run stops on the
+    gradient test or the step test (1e-10), as in Madsen, Nielsen & Tingleff
+    (2004, Alg. 3.16); the step test applies to rejected steps too, so a run
+    whose every step is rejected at the floating-point floor still stops.
     Non-convergence is reported through ``converged``, never raised.  Data
     whose cost or normal matrix overflows float64 raise SingularEquationsError.
 
@@ -244,7 +242,7 @@ def lm_fit(
 
     while iterations < cfg.max_iter:
         # the gradient test sees the point an accepted step produced, so it
-        # outranks the step/cost test that step raised
+        # outranks the step test that step raised
         if np.max(np.abs(g)) < cfg.tol_grad:
             stop = "grad"
         if stop is not None:
@@ -257,7 +255,6 @@ def lm_fit(
         cost_new = float(np.sum(w * r_new * r_new))
         if cost_new < cost:
             accepted += 1
-            rel_decrease = (cost - cost_new) / cost
             p, r = p_new, r_new
             cost = cost_new
             lam = lam / _DAMPING
@@ -265,12 +262,9 @@ def lm_fit(
             if callback is not None:
                 callback(accepted, p.copy(), cost, lam)
         else:
-            rel_decrease = np.inf  # a rejected step cannot stall the cost
             lam = min(lam * _DAMPING, np.finfo(float).max)  # a JSON number
         if np.linalg.norm(h) <= _TOL_STEP * (np.linalg.norm(p) + _TOL_STEP):
             stop = "step"
-        elif rel_decrease < _TOL_COST:
-            stop = "cost"
     else:
         stop = "max_iter"  # the cap outranks a test its last iteration raised
 

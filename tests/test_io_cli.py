@@ -24,8 +24,10 @@ Proves:
    name too long and a symlink loop; 4 for a generator sample count that
    is not finite or reaches 2**53, a negative seed (also from
    THERMOFIT_SEED), a NaN noise level, a non-finite solver option, a
-   non-finite ``discretize`` parameter, and a ``discretize`` result whose
-   pole rounds to 1 or whose gain or delay overflows), ``discretize`` exits
+   non-finite ``discretize`` parameter, a ``discretize`` result whose
+   pole rounds to 1 or whose gain or delay overflows, and a ``smooth`` or
+   ``fit`` filter whose design matrix overflows, which prints no NumPy
+   warning), ``discretize`` exits
    0 with the exact model where tau + Ts or Ts / tau overflows but the
    result is representable, reports carry the stable JSON schema and parse
    as strict JSON (no NaN or Infinity, also when the damping saturates),
@@ -403,6 +405,21 @@ def test_fit_command_starting_override_requires_all_three(tmp_path, capsys):
     code = run_cli("fit", "--input", str(raw), "--a0", "29")
     assert code == 4
     assert "a0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["smooth", "fit"])
+def test_overflowing_filter_design_exit_code(tmp_path, command):
+    # a real process, so a NumPy warning would reach stderr as the user sees it
+    raw = tmp_path / "raw.csv"
+    assert run_cli("simulate", "--output", str(raw), "--duration", "30") == 0
+    src = str(Path(thermofit.__file__).resolve().parents[1])
+    argv = [sys.executable, "-m", "thermofit.cli", command, "--input", str(raw),
+            "--output", str(tmp_path / "out.csv"), "--window", "301", "--order", "299"]
+    proc = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert proc.returncode == 4
+    assert "numerically singular for order=299, window=301" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_fit_command_on_degenerate_csv_fails_cleanly(tmp_path, capsys):

@@ -6,7 +6,8 @@ Proves, among others:
    below-ambient sign and both equilibria;
  - parameter lumping (gain = lamp/(area*U), tau = rho*cp/(area*U)) and its
    scaling law, plus exact round trips between process and fit parameters;
- - fit parameters reject NaN and infinite a, b and c;
+ - fit parameters reject NaN and infinite a, b and c, and physical
+   parameters reject NaN and infinity in each of their six fields;
  - step response boundary values, closed-form point checks, monotonicity
    and boundedness;
  - the three discrete realizations (poles and input gains), their unit DC
@@ -89,6 +90,11 @@ def test_physical_params_reject_nonpositive():
         PhysicalParams(0.0, 0.1, 4.0, 1.2, 1005.0, 25.0)
     with pytest.raises(InvalidParameterError):
         PhysicalParams(2.0, 0.1, 4.0, -1.2, 1005.0, 25.0)
+    fields = (2.0, 0.1, 4.0, 1.2, 1005.0, 25.0)
+    for i in range(len(fields)):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(InvalidParameterError, match="finite"):
+                PhysicalParams(*fields[:i], bad, *fields[i + 1 :])
 
 
 # ----------------------------------------------------------------------- ODE

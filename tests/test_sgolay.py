@@ -12,7 +12,8 @@ Proves:
    linearity, and length preservation including the edge rows;
  - smoothing strictly reduces the RMS deviation of noisy data from the
    clean curve;
- - configuration validation, including numerically singular designs.
+ - configuration validation, including numerically singular designs and
+   designs whose Vandermonde matrix overflows float64 (no NumPy warning).
 """
 
 import numpy as np
@@ -59,9 +60,12 @@ def test_config_rejects_order_out_of_range():
 
 
 def test_numerically_singular_design_raises():
-    # a full-degree polynomial over a wide window overwhelms float64
-    with pytest.raises(FilterConfigError):
-        sg_projection(SGConfig(order=100, window=101))
+    # a full-degree polynomial over a wide window overwhelms float64; from
+    # order 142 at window 301 the Vandermonde matrix itself overflows, which
+    # must raise the same error, not a NumPy warning and a NaN matrix
+    for order, window in [(100, 101), (142, 301), (299, 301)]:
+        with pytest.raises(FilterConfigError, match="numerically singular"):
+            sg_projection(SGConfig(order=order, window=window))
 
 
 # ------------------------------------------------------------- projection

@@ -13,6 +13,9 @@ Proves:
  - accepted costs decrease strictly; rejected steps only grow the damping;
  - a fit restarted at its own solution stops on the step test, not at the
    iteration cap;
+ - a run stops only on the gradient test, the step test or the cap: two
+   noisy fits (raw, and smoothed with SG(3, 901)) that lower the cost by
+   less than 1e-12 of its value on the way stop on ``grad`` or ``step``;
  - the reported normal matrix is J^T W J at the returned parameters, whether
    the run stops on the gradient, the step or the iteration cap, after an
    accepted or a rejected step;
@@ -51,10 +54,12 @@ from thermofit import (
     FitParams,
     InvalidParameterError,
     LMConfig,
+    SGConfig,
     SingularEquationsError,
     SynthSpec,
     TimeSeries,
     Weights,
+    fit_series,
     generate,
     initial_guess,
     lm_fit,
@@ -341,6 +346,15 @@ def test_restart_from_solution_stops_on_step_not_cap():
         again = lm_fit(model, t, y, None, first.params)
         assert again.converged != "max_iter", seed
         np.testing.assert_allclose(again.params, first.params, rtol=1e-10)
+
+
+@pytest.mark.parametrize("seed, smoothing", [(0, None), (7, SGConfig(3, 901))],
+                         ids=["raw-seed0", "sg901-seed7"])
+def test_noisy_fit_stops_on_the_gradient_or_step_test(seed, smoothing):
+    # both runs pass an accepted step that lowers the cost by less than
+    # 1e-12 of its value on the way; only the gradient and step tests end a run
+    ts = generate(SynthSpec(FitParams(30.0, 25.0, 0.01), 100.0, 300.0, 0.5, seed))
+    assert fit_series(ts, smoothing).result.converged in ("grad", "step")
 
 
 def test_overflowing_data_raise_singular_without_warning():
