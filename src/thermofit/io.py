@@ -56,8 +56,15 @@ def parse_csv(path) -> TimeSeries:
         ) from None
     # a time span that overflows gives rate 0 here; TimeSeries names the span
     with np.errstate(over="ignore"):
-        rate = 1.0 / float(np.median(np.diff(t)))
+        rate = 1.0 / _median(np.diff(t))
     return TimeSeries(t=t, y=y, rate=rate)
+
+
+def _median(x: np.ndarray) -> float:
+    """``np.median(x)`` of a non-empty 1-d x, without its import of numpy.ma."""
+    lo, hi = (x.size - 1) // 2, x.size // 2
+    part = np.partition(x, (lo, hi))
+    return float(part[hi] if lo == hi else (part[lo] + part[hi]) / 2)
 
 
 def _load_body(fh) -> tuple[np.ndarray, np.ndarray]:

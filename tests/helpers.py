@@ -1,4 +1,5 @@
-"""Shared test models for exercising the solver."""
+"""Shared test models for exercising the solver, and the per-sample
+reference of the simulators' recurrence."""
 
 import numpy as np
 
@@ -67,3 +68,17 @@ class DeadParameterModel(ResidualModel):
     def jacobian_row(self, t, p):
         t = np.asarray(t, dtype=float)
         return np.stack([t, np.zeros_like(t)], axis=-1)
+
+
+def sequential_recurrence(d: float, q: np.ndarray, y0: float) -> np.ndarray:
+    """``y[0] = y0``, ``y[i+1] = y[i] + (d*y[i] + q[i])``, one sample at a time:
+    the reference for the simulators' blocked ``model._recurrence``.
+
+    This increment form rounds less than ``(1 + d)*y[i] + q[i]`` when the
+    pole ``1 + d`` is near 1."""
+    y = [float(y0)]
+    yi = y[0]
+    for qi in q.tolist():
+        yi += d * yi + qi
+        y.append(yi)
+    return np.array(y)

@@ -10,16 +10,20 @@ lines and ``\\n`` or ``\\r\\n`` line endings:
  - parse_csv returns the same arrays as the row loop, bit for bit (the
    sign of zero included), or raises the same exception with the same
    message and line number;
- - ``thermofit fit`` on any such file exits 0, 3, 4 or 5 and never raises.
+ - ``thermofit fit`` on any such file exits 0, 3, 4 or 5 and never raises;
+ - the median spacing that sets the inferred rate is the float
+   ``np.median`` returns, for 1, 2 and any odd or even count of positive
+   spacings, infinite ones included.
 """
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from thermofit import TimeSeries, parse_csv
 from thermofit.cli import main
-from thermofit.io import SERIES_HEADER, _parse_rows
+from thermofit.io import SERIES_HEADER, _median, _parse_rows
 
 ODD_FIELDS = [
     "-0.0", "0.0", "1e500", "-1e500", "nan", "inf", "-inf", "1_5", "١٢",
@@ -100,3 +104,19 @@ def test_parse_csv_agrees_with_row_loop(tmp_path, capsys, text):
     assert outcome(parse_csv, path) == outcome(reference_parse, path)
     assert main(["fit", "--input", str(path)]) in (0, 3, 4, 5)
     capsys.readouterr()
+
+
+# a time axis strictly increases, so its spacings are positive; one that
+# overflows float64 has infinite spacings
+spacings = st.floats(min_value=0.0, exclude_min=True, allow_nan=False)
+
+
+@given(x=arrays(np.float64, st.integers(1, 40), elements=spacings))
+@example(x=np.array([0.5]))
+@example(x=np.array([0.5, 0.25]))
+@example(x=np.array([1e308, 1e308, 1.0, 1.0]))
+def test_median_spacing_is_np_median(x):
+    with np.errstate(over="ignore"):  # (a + b) / 2 of two spacings near 1e308
+        want = np.median(x)
+        got = _median(x)
+    assert type(got) is float and got == want

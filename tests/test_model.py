@@ -25,7 +25,14 @@ Proves, among others:
  - both simulators against their per-sample recurrences (the difference
    equation, and RK4's four stages of the ODE);
  - RK4 against the closed-form solution of the linear ODE, and its
-   rejection of a step past the real-axis stability limit (about 2.785 tau).
+   rejection of a step past the real-axis stability limit (about 2.785 tau);
+ - the recurrence both simulators share, evaluated in 64-sample blocks,
+   against the per-sample loop kept as ``helpers.sequential_recurrence``:
+   within 1e-13 of the output scale for poles in (-1, 1) (0 and within
+   1e-8 of either end included) and 0 to 300 samples, no less accurate
+   than the loop against extended precision at tau/Ts = 1e6 over 2e5
+   samples, and, for hand-built poles 1.5, -1.5, 0, -1 and 1e6, finite
+   where the loop is, exactly 0 from zero input and free of NumPy warnings.
 """
 
 import dataclasses
@@ -35,6 +42,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from thermofit import (
     DISCRETIZATION_METHODS,
@@ -55,6 +63,9 @@ from thermofit import (
     step_response,
 )
 from thermofit.errors import DataLengthError
+from thermofit.model import _recurrence
+
+from helpers import sequential_recurrence
 
 BOX = PhysicalParams(
     lamp_constant=2.0,
@@ -552,3 +563,87 @@ def test_simulate_continuous_rejects_bad_inputs():
         simulate_continuous(BOX, np.ones(5), 25.0, 0.0)
     with pytest.raises(DataLengthError):
         simulate_continuous(BOX, [], 25.0, 1.0)
+
+
+# ------------------------------------------------------- blocked recurrence
+
+EXTENDED = np.finfo(np.longdouble).nmant > np.finfo(float).nmant
+poles = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=-1.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    st.floats(min_value=1e-16, max_value=1e-8).flatmap(
+        lambda e: st.sampled_from([1.0 - e, -1.0 + e])
+    ),
+)
+finite_values = st.floats(min_value=-1e100, max_value=1e100)
+
+
+def extended_recurrence(d, q, y0):
+    """``y[i+1] = (1 + d) y[i] + q[i]`` in ``np.longdouble``, whose pole
+    ``1 + d`` is exact for every ``d`` the simulators pass."""
+    pole = np.longdouble(1.0) + np.longdouble(d)
+    y = [np.longdouble(y0)]
+    for qi in q.astype(np.longdouble):
+        y.append(pole * y[-1] + qi)
+    return np.array(y, dtype=np.longdouble)
+
+
+@given(pole=poles, q=arrays(np.float64, st.integers(0, 300), elements=finite_values),
+       y0=finite_values)
+@example(pole=1.0 - 1e-8, q=np.linspace(-1.0, 1.0, 63), y0=1.0)
+@example(pole=-1.0 + 1e-8, q=np.linspace(-1.0, 1.0, 64), y0=1.0)
+@example(pole=0.0, q=np.linspace(-1.0, 1.0, 65), y0=1.0)
+@example(pole=0.5, q=np.linspace(-1.0, 1.0, 128), y0=-3.0)
+@example(pole=-0.5, q=np.linspace(-1.0, 1.0, 129), y0=2.0)
+@example(pole=0.9999999932336573, q=np.zeros(2), y0=2.2250738585e-313)
+def test_blocked_recurrence_matches_sequential_loop(pole, q, y0):
+    # 64-sample blocks, one matrix product and a carry per block, against
+    # the per-sample loop; they round differently, within 1e-13 of the
+    # scale, which is taken as at least the smallest normal float: below it
+    # float64 resolves only absolute steps of 5e-324
+    want = sequential_recurrence(pole - 1.0, q, y0)
+    got = _recurrence(pole - 1.0, q, y0)
+    assert got.shape == want.shape == (q.size + 1,)
+    scale = max(np.max(np.abs(want)), np.finfo(float).tiny)
+    assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+
+@pytest.mark.skipif(not EXTENDED, reason="np.longdouble is no wider than float64")
+def test_blocked_recurrence_is_as_accurate_as_the_loop_near_pole_1():
+    # tau/Ts = 1e6, a lamp switched every 10,000 samples, 2e5 samples: the
+    # blocks carry the state through pole powers in the increment form
+    # expm1(k log1p(d)), so they round no worse than the per-sample loop
+    m = discretize(ProcessParams(0.1, 1e6, 0.0), "tustin", 1.0)
+    u = np.repeat(np.tile([100.0, 0.0, 100.0, 0.0, 100.0], 4), 10_000)
+    q = np.convolve(u, m.num)[1 : u.size]
+    ref = extended_recurrence(m.pole - 1.0, q, 0.0)
+    scale = np.max(np.abs(ref))
+    blocked = np.max(np.abs(simulate_discrete(m, u, 0.0) - ref)) / scale
+    loop = np.max(np.abs(sequential_recurrence(m.pole - 1.0, q, 0.0) - ref)) / scale
+    assert blocked <= loop, (float(blocked), float(loop))
+
+
+@pytest.mark.parametrize("pole", [1.5, -1.5, 0.0, -1.0, 1e6])
+def test_blocked_recurrence_on_unstable_and_degenerate_poles(pole):
+    # hand-built models discretize never returns: the output is finite where
+    # the loop's is and matches it there (within 1e-13 of the largest output
+    # so far, as it grows), zero input from zero stays exactly 0, and the
+    # suite's warnings-as-errors shows that no NumPy warning is raised
+    m = DiscreteModel(num=(0.5, 0.5), den=(1.0, -pole), sample_time=1.0)
+    u = np.random.Generator(np.random.Philox(7)).uniform(0.0, 1.0, 3000)
+    q = np.convolve(u, m.num)[1 : u.size]
+    got = simulate_discrete(m, u, 1.0)
+    want = sequential_recurrence(m.pole - 1.0, q, 1.0)
+    ok = np.isfinite(want)
+    assert np.isfinite(got[ok]).all()
+    scale = np.maximum.accumulate(np.abs(want[ok]))
+    assert np.all(np.abs(got[ok] - want[ok]) <= 1e-13 * scale)
+    np.testing.assert_array_equal(simulate_discrete(m, np.zeros(3000), 0.0), 0.0)
+    # where only the blocks stay finite, the loop's increment d*y[i]
+    # overflowed before the sum did; the blocks hold the exact value there
+    extra = np.isfinite(got) & ~ok
+    if extra.any():
+        if not EXTENDED:
+            pytest.skip("np.longdouble is no wider than float64")
+        ref = extended_recurrence(m.pole - 1.0, q, 1.0)[extra]
+        assert np.all(np.abs(got[extra] - ref) <= 1e-13 * np.abs(ref))
