@@ -1,21 +1,18 @@
-"""Savitzky-Golay smoothing, built from the projection matrix up.
+"""Savitzky-Golay smoothing, applied through an orthonormal polynomial basis.
 
 Each output sample is the value, at the sample's own position, of the
 least-squares polynomial of the configured degree fitted over a sliding
-window.  For a window of ``2m + 1`` samples this is the linear projection
-
-    B = V (V^T V)^{-1} V^T
-
+window of ``2m + 1`` samples: the projection ``B = V (V^T V)^{-1} V^T``
 onto polynomials of degree <= order, where ``V`` is the Vandermonde matrix
-of the centred integer abscissas ``-m .. m``.  Interior samples use the
-central row of ``B`` as a correlation kernel; the first and last ``m``
-samples reuse the remaining rows of ``B`` applied to the first/last full
-window, so no samples are dropped and the output has the input's length.
-
-``B`` is computed from a QR factorization of ``V`` (``B = Q Q^T``) rather
-than by inverting the normal equations, which keeps the construction well
+of the centred abscissas ``-m .. m``.  ``B = Q Q^T`` with ``Q`` (window x
+(order + 1)) from a QR factorization of ``V``, which stays well
 conditioned at the large windows used for slow thermal data (order 3,
 window 901).
+
+The smoother never forms ``B``, so its memory grows linearly with the
+window: interior samples are correlated with the central row ``Q Q[m]``,
+and the first and last ``m`` samples read the polynomial fitted to the
+first/last full window, so the output has the input's length.
 """
 
 from __future__ import annotations
@@ -47,19 +44,12 @@ class SGConfig:
                 f"window={self.window}"
             )
 
-    @property
-    def half(self) -> int:
-        return self.window // 2
 
-
-def sg_projection(cfg: SGConfig) -> np.ndarray:
-    """Projection matrix (window x window) onto degree-<=order polynomials.
-
-    Symmetric and idempotent.  Raises FilterConfigError when the design
-    matrix is numerically rank-deficient or overflows float64, which
-    signals an order too high for the window to support.
-    """
-    x = np.arange(-cfg.half, cfg.half + 1, dtype=float)
+def _basis(cfg: SGConfig) -> np.ndarray:
+    """Orthonormal basis (window x (order + 1)) of degree-<=order polynomials,
+    checked as ``sg_projection`` documents."""
+    m = cfg.window // 2
+    x = np.arange(-m, m + 1, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # NaN fails the test below
         q, r = np.linalg.qr(np.vander(x, cfg.order + 1, increasing=True))
     diag = np.abs(np.diag(r))
@@ -68,6 +58,18 @@ def sg_projection(cfg: SGConfig) -> np.ndarray:
             f"design matrix numerically singular for order={cfg.order}, "
             f"window={cfg.window}; reduce the order"
         )
+    return q
+
+
+def sg_projection(cfg: SGConfig) -> np.ndarray:
+    """Projection matrix (window x window) onto degree-<=order polynomials.
+
+    Symmetric and idempotent.  Raises FilterConfigError when the design
+    matrix is numerically rank-deficient or overflows float64, which
+    signals an order too high for the window to support; so does
+    ``sg_smooth``.
+    """
+    q = _basis(cfg)
     return q @ q.T
 
 
@@ -75,22 +77,20 @@ def sg_smooth(data, cfg: SGConfig) -> np.ndarray:
     """Smooth a 1-d sequence; output length equals input length.
 
     Interior samples are the correlation of the data with the central row
-    of the projection; the first and last ``half`` samples apply the other
-    projection rows to the first/last full window (polynomial edge
+    of the projection; the first and last ``window // 2`` samples evaluate
+    the polynomial fitted to the first/last full window (polynomial edge
     treatment).  Requires at least ``window`` samples.
     """
     y = np.asarray(data, dtype=float)
     if y.ndim != 1:
         raise DataLengthError("data must be a 1-d sequence")
-    n = y.size
-    if n < cfg.window:
-        raise DataLengthError(
-            f"need at least window={cfg.window} samples, got {n}"
-        )
-    b = sg_projection(cfg)
-    m = cfg.half
+    n, w = y.size, cfg.window
+    if n < w:
+        raise DataLengthError(f"need at least window={w} samples, got {n}")
+    q = _basis(cfg)
+    m = w // 2
     out = np.empty(n)
-    out[m : n - m] = np.correlate(y, b[m], mode="valid")
-    out[:m] = b[:m] @ y[: cfg.window]
-    out[n - m :] = b[m + 1 :] @ y[n - cfg.window :]
+    out[m : n - m] = np.correlate(y, q @ q[m], mode="valid")
+    out[:m] = q[:m] @ (q.T @ y[:w])
+    out[n - m :] = q[m + 1 :] @ (q.T @ y[n - w :])
     return out

@@ -1,9 +1,10 @@
-"""Shared test models for exercising the solver, and the per-sample
-reference of the simulators' recurrence."""
+"""Shared test models for exercising the solver, the per-sample
+reference of the simulators' recurrence, and the projection-matrix
+reference of the Savitzky-Golay smoother."""
 
 import numpy as np
 
-from thermofit import ResidualModel
+from thermofit import ResidualModel, SGConfig, sg_projection
 
 
 class LinearModel(ResidualModel):
@@ -82,3 +83,21 @@ def sequential_recurrence(d: float, q: np.ndarray, y0: float) -> np.ndarray:
         yi += d * yi + qi
         y.append(yi)
     return np.array(y)
+
+
+def projection_smooth(data, cfg: SGConfig) -> np.ndarray:
+    """Savitzky-Golay smoothing through the full window x window projection
+    ``B = sg_projection(cfg)``: the reference for ``sg_smooth``, which
+    applies the basis of ``B`` without forming it.
+
+    Interior samples are correlated with the central row of ``B``; the
+    first and last ``window // 2`` apply the other rows of ``B`` to the
+    first/last full window."""
+    y = np.asarray(data, dtype=float)
+    b = sg_projection(cfg)
+    n, w, m = y.size, cfg.window, cfg.window // 2
+    out = np.empty(n)
+    out[m : n - m] = np.correlate(y, b[m], mode="valid")
+    out[:m] = b[:m] @ y[:w]
+    out[n - m :] = b[m + 1 :] @ y[n - w :]
+    return out

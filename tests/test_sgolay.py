@@ -2,7 +2,9 @@
 
 The projection is cross-checked against an independent brute-force oracle
 that fits each window position with numpy.polyfit (SVD least squares),
-entirely separate from the QR construction under test.
+entirely separate from the QR construction under test.  The smoother,
+which applies the QR basis without forming the projection, is checked
+against ``helpers.projection_smooth``, which applies the projection itself.
 
 Proves:
  - degree-0 projection is the moving average, degree window-1 the identity;
@@ -12,13 +14,21 @@ Proves:
    linearity, and length preservation including the edge rows;
  - smoothing strictly reduces the RMS deviation of noisy data from the
    clean curve;
+ - the smoother agrees with the projection reference to 1e-13 of the
+   data's largest magnitude, and a window of 20,001 samples stays within
+   a few megabytes (memory linear in the window);
  - configuration validation, including numerically singular designs and
    designs whose Vandermonde matrix overflows float64 (no NumPy warning).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from helpers import projection_smooth
 from thermofit import (
     DataLengthError,
     FilterConfigError,
@@ -62,10 +72,13 @@ def test_config_rejects_order_out_of_range():
 def test_numerically_singular_design_raises():
     # a full-degree polynomial over a wide window overwhelms float64; from
     # order 142 at window 301 the Vandermonde matrix itself overflows, which
-    # must raise the same error, not a NumPy warning and a NaN matrix
+    # must raise the same error, not a NumPy warning and a NaN matrix; the
+    # smoother shares the check through the basis, not through sg_projection
     for order, window in [(100, 101), (142, 301), (299, 301)]:
-        with pytest.raises(FilterConfigError, match="numerically singular"):
-            sg_projection(SGConfig(order=order, window=window))
+        cfg = SGConfig(order=order, window=window)
+        for build in (sg_projection, lambda cfg: sg_smooth(np.ones(cfg.window), cfg)):
+            with pytest.raises(FilterConfigError, match="numerically singular"):
+                build(cfg)
 
 
 # ------------------------------------------------------------- projection
@@ -157,3 +170,33 @@ def test_smoothing_reduces_rms_noise():
     assert rms_after < rms_before
     # the wide window should wipe out most of the noise, not just some
     assert rms_after < 0.2 * rms_before
+
+
+@given(
+    window=st.integers(1, 100).map(lambda k: 2 * k + 1),
+    order=st.integers(0, 7),  # order 8 is numerically singular from window 185
+    extra=st.integers(0, 300),
+    seed=st.integers(0, 2**32 - 1),
+    level=st.floats(-1e6, 1e6),
+    sigma=st.floats(1e-6, 1e6),
+)
+@example(window=901, order=3, extra=600, seed=5, level=30.0, sigma=0.5)
+@example(window=3, order=2, extra=0, seed=0, level=0.0, sigma=1.0)
+def test_smooth_matches_projection_reference(window, order, extra, seed, level, sigma):
+    cfg = SGConfig(order=min(order, window - 1), window=window)
+    rng = np.random.Generator(np.random.Philox(seed))
+    y = level + rng.normal(0.0, sigma, window + extra)
+    err = np.max(np.abs(sg_smooth(y, cfg) - projection_smooth(y, cfg)))
+    assert err <= 1e-13 * np.max(np.abs(y))
+
+
+def test_wide_window_memory_is_linear():
+    # the window x window projection would be 3.2 GB here; the basis is 640 kB
+    y = np.sin(np.arange(40_001) / 5000.0)
+    tracemalloc.start()
+    try:
+        sg_smooth(y, SGConfig(order=3, window=20_001))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
