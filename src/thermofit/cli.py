@@ -67,11 +67,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sg_opts(fit)
     _add_lm_opts(fit)
     _add_guess_opts(fit)
-    fit.add_argument(
-        "--sigma",
-        type=float,
-        help="uniform per-point measurement std dev; sets weights 1/sigma^2",
-    )
+    fit.add_argument("--sigma", type=float, help=(
+        "uniform per-point measurement std dev (weights 1/sigma^2): steps are "
+        "unchanged; the cost and the gradient --tol-grad tests scale by 1/sigma^2"))
     _add_format_opt(fit)
     fit.set_defaults(handler=_cmd_fit)
 

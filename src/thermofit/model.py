@@ -54,7 +54,9 @@ _BLOCK = 64  # samples per block of _recurrence
 
 @dataclass(frozen=True)
 class PhysicalParams:
-    """Raw physical constants of the heated box.
+    """Raw physical constants of the heated box.  All are finite and all but
+    ``t_ambient`` positive; so are, in float64, the lumped divisors
+    ``area * heat_transfer_coeff`` and ``rho * cp``.
 
     Attributes
     ----------
@@ -85,12 +87,17 @@ class PhysicalParams:
                 raise InvalidParameterError(f"{name} must be positive and finite")
         if not np.isfinite(self.t_ambient):
             raise InvalidParameterError("t_ambient must be finite")
+        for x, y in (("area", "heat_transfer_coeff"), ("rho", "cp")):
+            if not 0 < float(getattr(self, x)) * float(getattr(self, y)) < np.inf:
+                raise InvalidParameterError(
+                    f"{x} * {y} must be positive and finite in float64")
 
 
 @dataclass(frozen=True)
 class ProcessParams:
     """Lumped first-order process: gain K (degC/V), time constant tau (s),
-    ambient level (degC) and pure transport dead time (s)."""
+    ambient level (degC) and pure transport dead time (s).  All four are
+    finite, ``tau > 0`` and ``dead_time >= 0``."""
 
     gain: float
     tau: float
@@ -98,6 +105,9 @@ class ProcessParams:
     dead_time: float = 0.0
 
     def __post_init__(self):
+        for name in ("gain", "tau", "t_ambient", "dead_time"):
+            if not np.isfinite(getattr(self, name)):
+                raise InvalidParameterError(f"{name} must be finite")
         if not self.tau > 0:
             raise InvalidParameterError("tau must be positive")
         if self.dead_time < 0:
@@ -134,11 +144,8 @@ class DiscreteModel:
 
         y[n] = num[0] * u[n] + num[1] * u[n-1] - den[1] * y[n-1]
 
-    :func:`discretize` sets ``num = (theta g, (1 - theta) g)`` (backward:
-    ``(g,)``) and ``den[1] = -pole`` with ``rho = tau / Ts``,
-    ``g = K / (rho + theta)``, ``pole = (rho - (1 - theta)) / (rho + theta)``
-    and theta 0.5 (tustin), 0 (forward) or 1 (backward).  The input is
-    additionally delayed by ``delay_samples`` whole samples.
+    :func:`discretize` gives the coefficients.  The input is additionally
+    delayed by ``delay_samples`` whole samples.
     The model is a pure transfer-function realization: there is no ambient
     offset inside it, the caller supplies the initial output level.
     A realization needs ``0 < sample_time < inf``, finite ``num`` and
@@ -224,6 +231,7 @@ def fit_to_process(f: FitParams) -> ProcessParams:
     return ProcessParams(gain=f.b, tau=1.0 / f.c, t_ambient=f.a / f.c, dead_time=0.0)
 
 
+@np.errstate(over="ignore")  # where c t overflows, exp(-c t) is 0 or inf anyway
 def step_response(f: FitParams, t):
     """Evaluate ``(a - b) * exp(-c*t) + b`` at time(s) ``t >= 0`` (seconds).
 
@@ -236,6 +244,7 @@ def step_response(f: FitParams, t):
     return float(y) if y.ndim == 0 else y
 
 
+@np.errstate(over="ignore")
 def step_response_jacobian(t, p):
     """Partial derivatives of the step-response model with respect to
     (a, b, c): ``(exp(-ct), 1 - exp(-ct), -t (a - b) exp(-ct))``.
@@ -251,8 +260,7 @@ def step_response_jacobian(t, p):
 
 
 class ExponentialStepModel(ResidualModel):
-    """Three-parameter step response ``(a - b) exp(-c t) + b``, p = (a, b, c),
-    at elapsed times t >= 0: ``step_response`` and ``step_response_jacobian``."""
+    """The solver binding of :func:`step_response` and its Jacobian, p = (a, b, c)."""
 
     def predict(self, t, p):
         return step_response(FitParams(*p), t)
@@ -278,10 +286,8 @@ def discretize(p: ProcessParams, method: str, sample_time: float) -> DiscreteMod
     circle; every method rejects a pole that rounds to 1 and a ``rho``,
     ``dc_gain`` or delay that overflows float64.
     """
-    if not np.isfinite([sample_time, p.gain, p.tau, p.dead_time]).all():
-        raise InvalidParameterError("sample_time, gain, tau, dead_time must be finite")
-    if not sample_time > 0:
-        raise InvalidParameterError("sample_time must be positive")
+    if not 0 < sample_time < np.inf:
+        raise InvalidParameterError("sample_time must be finite and positive")
     if method not in _THETA:
         raise InvalidParameterError(
             f"unknown method {method!r}; expected one of {DISCRETIZATION_METHODS}"
@@ -330,8 +336,7 @@ def simulate_discrete(m: DiscreteModel, inputs, initial_temp: float) -> np.ndarr
 
     The first output sample is pinned to ``initial_temp``; the recursion
     produces the rest.  Input samples before the start (and before the
-    delay) are treated as zero.  Output length equals input length.  It
-    runs in 64-sample blocks, in an increment form accurate near pole 1.
+    delay) are treated as zero.  Output length equals input length.
     """
     u = np.asarray(inputs, dtype=float)
     if u.ndim != 1 or u.size == 0:
@@ -355,7 +360,6 @@ def simulate_continuous(
     ``d = x + x^2/2 + x^3/6 + x^4/24`` and ``x = -sample_time / tau``.
     Beyond RK4's real-axis stability limit, ``sample_time`` about 2.785 tau,
     ``1 + d`` exceeds 1 (or ``d`` is not finite): UnstableDiscretizationError.
-    The map runs in 64-sample blocks, in an increment form accurate near pole 1.
     """
     if not sample_time > 0:
         raise InvalidParameterError("sample_time must be positive")

@@ -46,9 +46,9 @@ class TimeSeries:
 
     ``t`` in seconds (strictly increasing, with a span finite in float64),
     ``y`` in degC, both finite; ``rate`` the nominal sampling rate in Hz
-    (positive, finite).  Spacing must match ``1/rate`` within 1e-6 relative
-    or four float spacings of max ``|t|`` (epoch timestamps), whichever is
-    coarser.  Arrays are copied and frozen.
+    (positive, with ``rate`` and ``1/rate`` finite).  Spacing must match
+    ``1/rate`` within 1e-6 relative or four float spacings of max ``|t|``
+    (epoch timestamps), whichever is coarser.  Arrays are copied and frozen.
     """
 
     t: np.ndarray
@@ -66,8 +66,8 @@ class TimeSeries:
         lo, hi = float(t.min()), float(t.max())
         if not math.isfinite(hi - lo):  # Python floats overflow without a warning
             raise InvalidParameterError(f"time span {lo!r} to {hi!r} overflows float64")
-        if not 0 < self.rate < math.inf:
-            raise InvalidParameterError("rate must be positive and finite")
+        if not (0 < self.rate < math.inf and 1 / float(self.rate) < math.inf):
+            raise InvalidParameterError("rate and 1/rate must be positive and finite")
         dt = np.diff(t)
         if np.any(dt <= 0):
             raise InvalidParameterError("time must be strictly increasing")

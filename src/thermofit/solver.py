@@ -39,7 +39,7 @@ __all__ = [
     "validate_jacobian",
 ]
 
-_DAMPING = 10.0  # divides lam after an accepted step, multiplies it after a rejection
+_DAMPING = 10.0  # the damping schedule's factor, see the module docstring
 _TOL_STEP = 1e-10  # relative parameter step that stops a run
 
 
@@ -99,11 +99,9 @@ class Weights:
 
 @dataclass(frozen=True)
 class LMConfig:
-    """The solver settings the CLI exposes.  :func:`lm_fit` fixes the rest:
-    damping factor 10 and step tolerance 1e-10.
+    """The solver settings the CLI exposes; :func:`lm_fit` fixes the rest.
 
-    ``lambda0 = 0`` runs undamped Gauss-Newton; the multiplicative schedule
-    then keeps the damping pinned at zero for the whole run.
+    ``lambda0 = 0`` runs undamped Gauss-Newton for the whole run.
     """
 
     lambda0: float = 1e-3
@@ -212,11 +210,11 @@ def lm_fit(
     """Iterate damped steps from ``p0`` until a tolerance or the cap fires.
 
     A step is accepted only when it strictly decreases the weighted cost,
-    which divides the damping by 10; a rejection multiplies it by 10 (to at
-    most the largest finite float) and re-solves the step at the same point,
-    reusing the already-computed J, J^T W J and J^T W r.  The sequence of
-    accepted costs is therefore strictly decreasing.  The run stops on the
-    gradient test or the step test (1e-10), as in Madsen, Nielsen & Tingleff
+    which lowers the damping; a rejection raises it (to at most the largest
+    finite float) and re-solves the step at the same point, reusing the
+    already-computed J, J^T W J and J^T W r.  The sequence of accepted costs
+    is therefore strictly decreasing.  The run stops on the gradient test
+    or the step test (1e-10), as in Madsen, Nielsen & Tingleff
     (2004, Alg. 3.16); the step test applies to rejected steps too, so a run
     whose every step is rejected at the floating-point floor still stops.
     Non-convergence is reported through ``converged``, never raised.  Data

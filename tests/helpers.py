@@ -1,6 +1,7 @@
-"""Shared test models for exercising the solver, the per-sample
-reference of the simulators' recurrence, and the projection-matrix
-reference of the Savitzky-Golay smoother."""
+"""Shared test models for exercising the solver, the profile reference
+for where the exponential fit stops, the per-sample reference of the
+simulators' recurrence, and the projection-matrix reference of the
+Savitzky-Golay smoother."""
 
 import numpy as np
 
@@ -69,6 +70,34 @@ class DeadParameterModel(ResidualModel):
     def jacobian_row(self, t, p):
         t = np.asarray(t, dtype=float)
         return np.stack([t, np.zeros_like(t)], axis=-1)
+
+
+def stationary_rate(t, y, lo: float, hi: float) -> float:
+    """The rate ``c`` at which the least-squares fit of
+    ``(a - b) exp(-c t) + b`` to ``(t, y)`` is stationary, bracketed by
+    ``[lo, hi]``: the reference for where ``lm_fit`` stops.
+
+    Given ``c`` the model is linear in ``(a, b)``, so each ``c`` takes one
+    2x2 least-squares solve.  The derivative of the profile cost
+    ``sum(r^2) / 2`` over ``c`` is then ``sum(r t (a - b) exp(-c t))``
+    (the ``(a, b)`` terms vanish at their optimum); its sign is bisected
+    until the bracket holds no float between its ends."""
+    t, y = np.asarray(t, dtype=float), np.asarray(y, dtype=float)
+
+    def slope(c):
+        e = np.exp(-c * t)
+        basis = np.stack([e, 1.0 - e], axis=1)
+        (a, b), *_ = np.linalg.lstsq(basis, y, rcond=None)
+        return float(np.sum((y - basis @ [a, b]) * t * (a - b) * e))
+
+    below = slope(lo) < 0
+    assert below != (slope(hi) < 0), "the bracket must change sign"
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if (slope(mid) < 0) == below:
+            lo = mid
+        else:
+            hi = mid
+    return mid
 
 
 def sequential_recurrence(d: float, q: np.ndarray, y0: float) -> np.ndarray:

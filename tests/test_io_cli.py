@@ -34,6 +34,8 @@ Proves:
    and THERMOFIT_SEED beats --seed;
  - numeric options take negative numbers in scientific notation
    (``--gain -1e-3``, ``--b0 -2e1``);
+ - ``fit --sigma 0.5 --tol-grad 4e-8`` is the unweighted fit bit for bit,
+   iterations and stop test included, with exactly 4x the cost;
  - ``pipeline`` smooths once, leaves no temporary directory behind
    without ``--output``, and importing the CLI loads no SciPy.
 """
@@ -391,6 +393,17 @@ def test_fit_command_with_uniform_sigma_weights(tmp_path, capsys):
     report = strict_json(capsys.readouterr().out)
     # uniform weights rescale the cost but not the solution
     assert report["c"] == pytest.approx(0.01, rel=1e-6)
+    # w = 4 scales the cost, J^T W J and the gradient by 4 without rounding
+    # (a power of two), so every damped step and accept decision is the
+    # unweighted one; only the absolute gradient test needs a 4x tolerance
+    assert run_cli("fit", "--input", str(raw), "--format", "json") == 0
+    plain = strict_json(capsys.readouterr().out)
+    assert run_cli("fit", "--input", str(raw), "--sigma", "0.5", "--tol-grad", "4e-8",
+                   "--format", "json") == 0
+    weighted = strict_json(capsys.readouterr().out)
+    keys = ("a", "b", "c", "iterations", "converged")
+    assert [weighted[k] for k in keys] == [plain[k] for k in keys]
+    assert weighted["cost"] == 4.0 * plain["cost"]
     # a sigma whose square underflows is rejected like a negative one,
     # without a NumPy warning
     for sigma in ("-1", "1e-200"):

@@ -6,8 +6,12 @@ Proves, among others:
    below-ambient sign and both equilibria;
  - parameter lumping (gain = lamp/(area*U), tau = rho*cp/(area*U)) and its
    scaling law, plus exact round trips between process and fit parameters;
- - fit parameters reject NaN and infinite a, b and c, and physical
-   parameters reject NaN and infinity in each of their six fields;
+ - fit parameters reject NaN and infinite a, b and c, process parameters
+   NaN and infinity in each of their four fields, and physical parameters
+   NaN and infinity in each of their six fields and an ``area * U`` or
+   ``rho * cp`` that leaves float64; as a property over 1e-300..1e300,
+   physical parameters either raise the typed error or lump to a finite
+   process, and ``ode_rhs`` never raises;
  - step response boundary values, closed-form point checks, monotonicity
    and boundedness;
  - the three discrete realizations (poles and input gains), their unit DC
@@ -106,6 +110,39 @@ def test_physical_params_reject_nonpositive():
         for bad in (np.nan, np.inf):
             with pytest.raises(InvalidParameterError, match="finite"):
                 PhysicalParams(*fields[:i], bad, *fields[i + 1 :])
+    # each field is fine, but A*U or rho*cp, a divisor of derive_process_params
+    # and ode_rhs, underflows to 0
+    for fields, product in (((1.0, 1e-200, 1e-200, 1.0, 1.0, 20.0),
+                             "area \\* heat_transfer_coeff"),
+                            ((1.0, 1.0, 1.0, 1e-200, 1e-200, 20.0), "rho \\* cp")):
+        with pytest.raises(InvalidParameterError, match=product):
+            derive_process_params(PhysicalParams(*fields))
+        with pytest.raises(InvalidParameterError, match=product):
+            ode_rhs(PhysicalParams(*fields), temp=21.0, volts=1.0)
+
+
+log_uniform = st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0**e)
+
+
+@given(fields=st.tuples(*[log_uniform] * 6))
+@example(fields=(1.0, 1e-200, 1e-200, 1.0, 1.0, 20.0))
+@example(fields=(1.0, 1.0, 1.0, 1e-200, 1e-200, 20.0))
+@example(fields=(1e300, 1e-10, 1e-10, 1e300, 1e300, 20.0))
+@example(fields=(1e300, 1e-10, 1e-10, 1.0, 1.0, 20.0))
+@example(fields=(1.0, 1e150, 1e150, 1e-300, 1.0, 20.0))
+def test_physical_params_either_raise_or_lump_to_finite_process(fields):
+    # over 1e-300..1e300 in every field, the type and derive_process_params
+    # raise the typed error or give a finite process, and ode_rhs never raises
+    try:
+        p = PhysicalParams(*fields)
+    except InvalidParameterError:
+        return
+    ode_rhs(p, temp=p.t_ambient + 1.0, volts=1.0)
+    try:
+        proc = derive_process_params(p)
+    except InvalidParameterError:
+        return
+    assert np.isfinite(dataclasses.astuple(proc)).all() and proc.tau > 0
 
 
 # ----------------------------------------------------------------------- ODE
@@ -202,6 +239,14 @@ def test_process_params_invariants():
         ProcessParams(gain=1.0, tau=0.0, t_ambient=0.0)
     with pytest.raises(InvalidParameterError):
         ProcessParams(gain=1.0, tau=1.0, t_ambient=0.0, dead_time=-1.0)
+    valid = {"gain": 1.0, "tau": 1.0, "t_ambient": 0.0, "dead_time": 0.0}
+    for name in valid:
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(InvalidParameterError, match=f"{name} must be finite"):
+                ProcessParams(**{**valid, name: bad})
+    # fit_to_process is held to the same rule: a / c overflows for a tiny c
+    with pytest.raises(InvalidParameterError, match="t_ambient must be finite"):
+        fit_to_process(FitParams(a=30.0, b=25.0, c=1e-307))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -563,6 +608,10 @@ def test_simulate_continuous_rejects_bad_inputs():
         simulate_continuous(BOX, np.ones(5), 25.0, 0.0)
     with pytest.raises(DataLengthError):
         simulate_continuous(BOX, [], 25.0, 1.0)
+    # rho*cp overflows, so tau would be inf and the output NaN
+    with pytest.raises(InvalidParameterError, match="rho \\* cp"):
+        simulate_continuous(PhysicalParams(1e300, 1e-10, 1e-10, 1e300, 1e300, 20.0),
+                            np.ones(5), 20.0, 1.0)
 
 
 # ------------------------------------------------------- blocked recurrence

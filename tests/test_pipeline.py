@@ -2,9 +2,9 @@
 fit statistics and the end-to-end fit.
 
 Proves:
- - TimeSeries invariants (length, finite values, a time span and a rate
-   finite in float64, monotone time, uniform spacing with a tolerance
-   that admits epoch timestamps, immutability);
+ - TimeSeries invariants (length, finite values, a time span, a rate and
+   1/rate finite in float64, monotone time, uniform spacing with a
+   tolerance that admits epoch timestamps, immutability);
  - the analytic Jacobian at its boundary values and against central
    finite differences over random draws, and that the solver model
    evaluates through ``step_response`` and ``step_response_jacobian``;
@@ -13,6 +13,9 @@ Proves:
  - R-squared point values and its constant-input rejection;
  - round-trip identification (clean to machine accuracy, noisy within 2%),
    plus the sampling-rate, smoothing-neutrality and time-shift properties;
+ - on the noisy acceptance regimes, raw and smoothed, the fitted ``c`` lies
+   within 1e-6 standard errors of the profile oracle's stationary point
+   (``helpers.stationary_rate``);
  - the fit runs on elapsed time: any clock origin gives the same fit, and
    ``FitReport.fitted`` is the read-only model the R-squared was taken on;
  - warnings for oversized windows, non-positive rates, capped runs and a
@@ -51,6 +54,8 @@ from thermofit import (
 )
 from thermofit.pipeline import ExponentialStepModel
 
+from helpers import stationary_rate
+
 
 def clean_series(a, b, c, rate=100.0, duration=None, seed=None, sigma=0.0):
     duration = duration if duration is not None else 3.0 / c
@@ -75,6 +80,9 @@ def test_time_series_validates_lengths_and_rate():
         TimeSeries(np.array([0.0, 1.0]), np.array([1.0]), 1.0)
     with pytest.raises(InvalidParameterError):
         TimeSeries(np.array([0.0, 1.0]), np.array([1.0, 2.0]), 0.0)
+    # 1/rate overflows, so a spacing test against it would compare NaN
+    with pytest.raises(InvalidParameterError, match="1/rate"):
+        TimeSeries(np.array([0.0, 1.0, 2.0]), np.zeros(3), 5e-324)
 
 
 def test_time_series_requires_strictly_increasing_time():
@@ -291,6 +299,22 @@ def test_fit_series_reference_regime_noisy():
         (rep.fit.c, 0.0049),
     ):
         assert abs(got - want) / want < 0.02
+
+
+@pytest.mark.parametrize("smoothing", [None, SGConfig(order=3, window=901)],
+                         ids=["raw", "sg-3-901"])
+@pytest.mark.parametrize("a, b, c", [(34.43, 43.65, 0.0415), (29.18, 26.01, 0.0049),
+                                     (29.07, 25.68, 0.004)])
+def test_fit_series_stops_at_the_profile_stationary_point(a, b, c, smoothing):
+    # the acceptance regimes, noisy (seed 0): c lies within 1e-6 standard
+    # errors of the oracle's stationary point of the fitted target, with the
+    # SE from s^2 (J^T J)^-1 and s^2 from the raw residuals over n - 3
+    ts = clean_series(a, b, c, sigma=0.5, seed=0)
+    rep = fit_series(ts, smoothing=smoothing)
+    c_star = stationary_rate(ts.t - ts.t[0], rep.target, 0.5 * c, 2.0 * c)
+    s2 = np.sum((ts.y - rep.fitted) ** 2) / (ts.n - 3)
+    se_c = np.sqrt(s2 * np.linalg.inv(rep.result.normal_matrix)[2, 2])
+    assert abs(rep.fit.c - c_star) <= 1e-6 * se_c
 
 
 def test_fit_series_sampling_rate_stability():

@@ -1,5 +1,6 @@
 """Synthetic generator: grid arithmetic, determinism and noise statistics,
-and the settings ``SynthSpec`` rejects because ``generate`` cannot honour them."""
+a rate constant whose product with time overflows, and the settings
+``SynthSpec`` rejects because ``generate`` cannot honour them."""
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from thermofit import (
     SynthSpec,
     generate,
     step_response,
+    step_response_jacobian,
 )
 
 TRUTH = FitParams(30.0, 25.0, 0.01)
@@ -53,6 +55,17 @@ def test_seed_changes_noise_but_not_clean_component():
     np.testing.assert_array_equal(
         noisy1.y - (noisy1.y - clean1.y), noisy2.y - (noisy2.y - clean2.y)
     )
+
+
+def test_rate_constant_whose_product_with_time_overflows():
+    # c t overflows to inf from t = 2 on, where exp(-c t) is 0 anyway: the
+    # values are exact, and the warnings-as-errors filter sees no NumPy warning
+    truth = FitParams(30.0, 25.0, 1e308)
+    ts = generate(SynthSpec(truth, rate=1.0, duration=60.0))
+    assert ts.y[0] == 30.0
+    np.testing.assert_array_equal(ts.y[1:], 25.0)
+    np.testing.assert_array_equal(step_response_jacobian(ts.t[1:], [30.0, 25.0, 1e308]),
+                                  np.tile([0.0, 1.0, 0.0], (60, 1)))
 
 
 def test_noise_statistics_over_long_record():
