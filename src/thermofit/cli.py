@@ -9,15 +9,13 @@ discretize  print the discrete-time realization of a first-order process
 pipeline    simulate -> write CSV -> re-read -> smooth -> fit, as a self-test
 
 Exit codes: 0 success, 2 usage error, 3 file-system/CSV errors, 4 invalid
-data or configuration, 5 numerical failure.  The environment variable
-``THERMOFIT_SEED`` overrides ``--seed`` when set.
+data or configuration, 5 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 import tempfile
@@ -34,7 +32,7 @@ from .io import parse_csv, write_csv, write_overlay, write_smoothed_and_overlay
 from .model import FitParams, ProcessParams, DISCRETIZATION_METHODS, discretize
 from .pipeline import FitReport, TimeSeries, fit_series
 from .sgolay import SGConfig, sg_smooth
-from .solver import LMConfig, Weights
+from .solver import LMConfig
 from .synth import SynthSpec, generate
 
 EXIT_OK = 0
@@ -67,9 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sg_opts(fit)
     _add_lm_opts(fit)
     _add_guess_opts(fit)
-    fit.add_argument("--sigma", type=float, help=(
-        "uniform per-point measurement std dev (weights 1/sigma^2): steps are "
-        "unchanged; the cost and the gradient --tol-grad tests scale by 1/sigma^2"))
     _add_format_opt(fit)
     fit.set_defaults(handler=_cmd_fit)
 
@@ -139,18 +134,6 @@ def _add_format_opt(sp):
     )
 
 
-def _resolve_seed(args) -> int:
-    env = os.environ.get("THERMOFIT_SEED")
-    if env is None:
-        return args.seed
-    try:
-        return int(env)
-    except ValueError:
-        raise InvalidParameterError(
-            f"THERMOFIT_SEED must be an integer, got {env!r}"
-        ) from None
-
-
 def _lm_config(args) -> LMConfig:
     return LMConfig(
         lambda0=args.lambda0, max_iter=args.max_iter, tol_grad=args.tol_grad
@@ -196,7 +179,7 @@ def _synth_spec(args) -> SynthSpec:
         rate=args.rate,
         duration=args.duration,
         noise_sigma=args.sigma,
-        seed=_resolve_seed(args),
+        seed=args.seed,
     )
 
 
@@ -225,9 +208,7 @@ def _cmd_fit(args) -> dict:
     p0 = _fit_overrides(args)  # validate flags before touching the file
     smoothing = _smoothing(args)
     ts = parse_csv(args.input)
-    weights = None if args.sigma is None else Weights.from_sigma([args.sigma] * ts.n)
-    report = fit_series(ts, smoothing=smoothing, cfg=_lm_config(args),
-                        weights=weights, p0=p0)
+    report = fit_series(ts, smoothing=smoothing, cfg=_lm_config(args), p0=p0)
     if args.output:
         write_overlay(args.output, ts.t, ts.y, report.target, report.fitted)
     return report_dict(report)

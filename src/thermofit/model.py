@@ -374,4 +374,4 @@ def simulate_continuous(
             f"RK4 unstable: sample_time={sample_time} is beyond about 2.785*tau "
             f"(tau={proc.tau})"
         )
-    return _recurrence(d, -d * (p.t_ambient + proc.gain * u[:-1]), initial_temp)
+    return _recurrence(d, -d * p.t_ambient - (d * proc.gain) * u[:-1], initial_temp)

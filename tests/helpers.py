@@ -1,7 +1,7 @@
 """Shared test models for exercising the solver, the profile reference
-for where the exponential fit stops, the per-sample reference of the
-simulators' recurrence, and the projection-matrix reference of the
-Savitzky-Golay smoother."""
+for where the exponential fit stops, the standard errors of a fit, the
+per-sample reference of the simulators' recurrence, and the
+projection-matrix reference of the Savitzky-Golay smoother."""
 
 import numpy as np
 
@@ -98,6 +98,20 @@ def stationary_rate(t, y, lo: float, hi: float) -> float:
         else:
             hi = mid
     return mid
+
+
+def residual_variance(ts, rep) -> float:
+    """``s^2 = sum((ts.y - rep.fitted)^2) / (n - 3)``: the variance of the
+    raw residuals of fit report ``rep`` of record ``ts``, smoothed or not."""
+    return float(np.sum((ts.y - rep.fitted) ** 2) / (ts.n - 3))
+
+
+def standard_errors(ts, rep) -> np.ndarray:
+    """Standard errors of the fitted ``(a, b, c)``: the square roots of the
+    diagonal of ``s^2 (J^T W J)^-1``, with ``s^2`` from
+    ``residual_variance``."""
+    cov = residual_variance(ts, rep) * np.linalg.inv(rep.result.normal_matrix)
+    return np.sqrt(np.diag(cov))
 
 
 def sequential_recurrence(d: float, q: np.ndarray, y0: float) -> np.ndarray:

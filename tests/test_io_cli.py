@@ -22,20 +22,19 @@ Proves:
    exit codes (3 for any file-system error: an output or input path under
    a regular file, a ``pipeline`` output that is one, a full device, a
    name too long and a symlink loop; 4 for a generator sample count that
-   is not finite or reaches 2**53, a negative seed (also from
-   THERMOFIT_SEED), a NaN noise level, a non-finite solver option, a
-   non-finite ``discretize`` parameter, a ``discretize`` result whose
-   pole rounds to 1 or whose gain or delay overflows, and a ``smooth`` or
-   ``fit`` filter whose design matrix overflows, which prints no NumPy
-   warning), ``discretize`` exits
-   0 with the exact model where tau + Ts or Ts / tau overflows but the
+   is not finite or reaches 2**53, a negative seed, a NaN noise level, a
+   non-finite solver option, a non-finite ``discretize`` parameter, a
+   ``discretize`` result whose pole rounds to 1 or whose gain or delay
+   overflows, and a ``smooth`` or ``fit`` filter whose design matrix
+   overflows, which prints no NumPy warning), ``discretize`` exits 0
+   with the exact model where tau + Ts or Ts / tau overflows but the
    result is representable, reports carry the stable JSON schema and parse
-   as strict JSON (no NaN or Infinity, also when the damping saturates),
-   and THERMOFIT_SEED beats --seed;
+   as strict JSON (no NaN or Infinity, also when the damping saturates);
  - numeric options take negative numbers in scientific notation
    (``--gain -1e-3``, ``--b0 -2e1``);
- - ``fit --sigma 0.5 --tol-grad 4e-8`` is the unweighted fit bit for bit,
-   iterations and stop test included, with exactly 4x the cost;
+ - ``--seed`` alone sets the seed (a ``THERMOFIT_SEED`` in the environment
+   changes no byte), and ``fit`` fits unweighted: ``--sigma`` is a usage
+   error there;
  - ``pipeline`` smooths once, leaves no temporary directory behind
    without ``--output``, and importing the CLI loads no SciPy.
 """
@@ -383,35 +382,6 @@ def test_fit_command_saturated_damping_report_is_strict_json(tmp_path, capsys):
     assert report["lambda_final"] == np.finfo(float).max
 
 
-def test_fit_command_with_uniform_sigma_weights(tmp_path, capsys):
-    raw = tmp_path / "raw.csv"
-    run_cli("simulate", "--output", str(raw), "--sigma", "0", "--duration", "300")
-    code = run_cli(
-        "fit", "--input", str(raw), "--sigma", "0.5", "--format", "json"
-    )
-    assert code == 0
-    report = strict_json(capsys.readouterr().out)
-    # uniform weights rescale the cost but not the solution
-    assert report["c"] == pytest.approx(0.01, rel=1e-6)
-    # w = 4 scales the cost, J^T W J and the gradient by 4 without rounding
-    # (a power of two), so every damped step and accept decision is the
-    # unweighted one; only the absolute gradient test needs a 4x tolerance
-    assert run_cli("fit", "--input", str(raw), "--format", "json") == 0
-    plain = strict_json(capsys.readouterr().out)
-    assert run_cli("fit", "--input", str(raw), "--sigma", "0.5", "--tol-grad", "4e-8",
-                   "--format", "json") == 0
-    weighted = strict_json(capsys.readouterr().out)
-    keys = ("a", "b", "c", "iterations", "converged")
-    assert [weighted[k] for k in keys] == [plain[k] for k in keys]
-    assert weighted["cost"] == 4.0 * plain["cost"]
-    # a sigma whose square underflows is rejected like a negative one,
-    # without a NumPy warning
-    for sigma in ("-1", "1e-200"):
-        code = run_cli("fit", "--input", str(raw), "--sigma", sigma)
-        assert code == 4
-        assert capsys.readouterr().err.startswith("error: ")
-
-
 def test_fit_command_starting_override_requires_all_three(tmp_path, capsys):
     raw = tmp_path / "raw.csv"
     run_cli("simulate", "--output", str(raw), "--sigma", "0", "--duration", "60")
@@ -659,16 +629,13 @@ def test_negative_scientific_notation_is_a_number(tmp_path, capsys, argv):
         assert d["b"] == pytest.approx(-20, abs=0.1)
 
 
-@pytest.mark.parametrize("argv, env, message", [
-    (("--seed", "-1"), None, "seed must be non-negative"),
-    ((), "-1", "seed must be non-negative"),
-    (("--sigma", "nan"), None, "noise_sigma must be non-negative and finite"),
-], ids=["negative-seed", "negative-THERMOFIT_SEED", "nan-sigma"])
+@pytest.mark.parametrize("argv, message", [
+    (("--seed", "-1"), "seed must be non-negative"),
+    (("--sigma", "nan"), "noise_sigma must be non-negative and finite"),
+], ids=["negative-seed", "nan-sigma"])
 @pytest.mark.parametrize("command", ["simulate", "pipeline"])
-def test_generator_setting_it_cannot_honour_exit_code(tmp_path, monkeypatch, capsys,
-                                                      command, argv, env, message):
-    if env is not None:
-        monkeypatch.setenv("THERMOFIT_SEED", env)
+def test_generator_setting_it_cannot_honour_exit_code(tmp_path, capsys, command, argv,
+                                                      message):
     out = tmp_path / "out"
     target = out / "x.csv" if command == "simulate" else out
     code = run_cli(command, *argv, "--output", str(target))
@@ -775,23 +742,21 @@ def test_cli_import_does_not_load_scipy():
     assert out.strip() == "False"
 
 
-def test_env_seed_overrides_flag(tmp_path, monkeypatch):
-    monkeypatch.setenv("THERMOFIT_SEED", "777")
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    run_cli("simulate", "--output", str(a), "--seed", "1", "--duration", "5")
-    run_cli("simulate", "--output", str(b), "--seed", "2", "--duration", "5")
-    assert a.read_text() == b.read_text()
-    monkeypatch.delenv("THERMOFIT_SEED")
-    run_cli("simulate", "--output", str(b), "--seed", "2", "--duration", "5")
-    assert a.read_text() != b.read_text()
-
-
-def test_env_seed_must_be_integer(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("THERMOFIT_SEED", "not-a-number")
-    code = run_cli("simulate", "--output", str(tmp_path / "x.csv"))
-    assert code == 4
-    assert "THERMOFIT_SEED" in capsys.readouterr().err
+def test_seed_variable_is_not_read_and_fit_takes_no_sigma(tmp_path, monkeypatch):
+    monkeypatch.delenv("THERMOFIT_SEED", raising=False)
+    plain = tmp_path / "plain.csv"
+    assert run_cli("simulate", "--output", str(plain), "--seed", "5",
+                   "--duration", "5") == 0
+    for k, value in enumerate(("3", "-1", "not-a-number")):
+        monkeypatch.setenv("THERMOFIT_SEED", value)
+        out = tmp_path / f"env{k}.csv"
+        assert run_cli("simulate", "--output", str(out), "--seed", "5",
+                       "--duration", "5") == 0
+        assert out.read_bytes() == plain.read_bytes()
+    # weighted fits go through fit_series(ts, weights=Weights.from_sigma(...))
+    with pytest.raises(SystemExit) as exc:
+        run_cli("fit", "--input", str(plain), "--sigma", "0.5")
+    assert exc.value.code == 2
 
 
 def test_text_report_mirrors_json_fields(tmp_path, capsys):

@@ -30,6 +30,8 @@ Proves, among others:
    equation, and RK4's four stages of the ODE);
  - RK4 against the closed-form solution of the linear ODE, and its
    rejection of a step past the real-axis stability limit (about 2.785 tau);
+ - RK4 finite and within 1e-12 of tustin on a box whose ``K * u``
+   overflows while ``K * u * Ts / tau`` does not;
  - the recurrence both simulators share, evaluated in 64-sample blocks,
    against the per-sample loop kept as ``helpers.sequential_recurrence``:
    within 1e-13 of the output scale for poles in (-1, 1) (0 and within
@@ -612,6 +614,16 @@ def test_simulate_continuous_rejects_bad_inputs():
     with pytest.raises(InvalidParameterError, match="rho \\* cp"):
         simulate_continuous(PhysicalParams(1e300, 1e-10, 1e-10, 1e300, 1e300, 20.0),
                             np.ones(5), 20.0, 1.0)
+
+
+def test_simulate_continuous_where_gain_times_input_overflows():
+    # K = 1e306 and tau = 1e6 s: K * u = 1e309 overflows, K * u * Ts / tau
+    # does not, and the output stays finite (no NumPy warning either)
+    box = PhysicalParams(1e300, 1e-3, 1e-3, 1.0, 1.0, 20.0)
+    u = np.full(50, 1000.0)
+    tustin = discretize(derive_process_params(box), "tustin", 1.0)
+    np.testing.assert_allclose(simulate_continuous(box, u, 20.0, 1.0),
+                               20.0 + simulate_discrete(tustin, u, 0.0), rtol=1e-12)
 
 
 # ------------------------------------------------------- blocked recurrence

@@ -54,7 +54,7 @@ from thermofit import (
 )
 from thermofit.pipeline import ExponentialStepModel
 
-from helpers import stationary_rate
+from helpers import standard_errors, stationary_rate
 
 
 def clean_series(a, b, c, rate=100.0, duration=None, seed=None, sigma=0.0):
@@ -307,14 +307,12 @@ def test_fit_series_reference_regime_noisy():
                                      (29.07, 25.68, 0.004)])
 def test_fit_series_stops_at_the_profile_stationary_point(a, b, c, smoothing):
     # the acceptance regimes, noisy (seed 0): c lies within 1e-6 standard
-    # errors of the oracle's stationary point of the fitted target, with the
-    # SE from s^2 (J^T J)^-1 and s^2 from the raw residuals over n - 3
+    # errors (s^2 from the raw residuals) of the oracle's stationary point of
+    # the fitted target
     ts = clean_series(a, b, c, sigma=0.5, seed=0)
     rep = fit_series(ts, smoothing=smoothing)
     c_star = stationary_rate(ts.t - ts.t[0], rep.target, 0.5 * c, 2.0 * c)
-    s2 = np.sum((ts.y - rep.fitted) ** 2) / (ts.n - 3)
-    se_c = np.sqrt(s2 * np.linalg.inv(rep.result.normal_matrix)[2, 2])
-    assert abs(rep.fit.c - c_star) <= 1e-6 * se_c
+    assert abs(rep.fit.c - c_star) <= 1e-6 * standard_errors(ts, rep)[2]
 
 
 def test_fit_series_sampling_rate_stability():

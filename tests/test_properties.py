@@ -23,6 +23,8 @@ from hypothesis import strategies as st
 
 from thermofit import FitParams, SynthSpec, TimeSeries, fit_series, generate
 
+from helpers import residual_variance, standard_errors
+
 RATE = 10.0
 EPS = np.finfo(float).eps
 # allowed disagreement, in units of the summed resolutions of the two fits
@@ -55,10 +57,9 @@ def fit_and_resolution(ts):
     the standard errors from ``s^2 (J^T J)^-1``.
     """
     rep = fit_series(ts)
-    s2 = rep.result.cost / (ts.n - 3)
-    se = np.sqrt(np.diag(s2 * np.linalg.inv(rep.result.normal_matrix)))
-    flat = np.sqrt(2.0 * EPS * np.max(np.abs(ts.y)) * np.sqrt(ts.n) / np.sqrt(s2))
-    return np.array([rep.fit.a, rep.fit.b, rep.fit.c]), flat * se
+    s = np.sqrt(residual_variance(ts, rep))
+    flat = np.sqrt(2.0 * EPS * np.max(np.abs(ts.y)) * np.sqrt(ts.n) / s)
+    return np.array([rep.fit.a, rep.fit.b, rep.fit.c]), flat * standard_errors(ts, rep)
 
 
 @given(seed=seeds, t0=st.floats(min_value=-1e4, max_value=4e9))
