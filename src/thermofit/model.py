@@ -223,11 +223,11 @@ def process_to_fit(p: ProcessParams) -> FitParams:
 def fit_to_process(f: FitParams) -> ProcessParams:
     """Invert :func:`process_to_fit`: tau = 1/c, gain = b, ambient = a/c.
 
-    Dead time is not recoverable and comes back as 0.  Rejects ``c <= 0``,
-    for which no stable first-order process exists.
+    Dead time is not recoverable and comes back as 0.  Rejects ``c <= 0``
+    (no stable first-order process) and a ``1/c`` or ``a/c`` beyond float64.
     """
     if not f.c > 0:
-        raise InvalidParameterError(f"rate constant must be positive, got c={f.c}")
+        raise InvalidParameterError(f"fitted rate constant c={f.c:.6g} is not positive")
     return ProcessParams(gain=f.b, tau=1.0 / f.c, t_ambient=f.a / f.c, dead_time=0.0)
 
 

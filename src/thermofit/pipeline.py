@@ -137,14 +137,13 @@ def r_squared(y, yhat) -> float:
 class FitReport:
     """Everything a fit run produced.
 
-    ``process`` is None when the fitted rate constant is non-positive (no
-    stable first-order process exists); the condition is also flagged in
-    ``warnings``.  ``r_squared`` is measured against the fitting target
-    (the smoothed series when smoothing was applied) and may be negative
-    for fits worse than the mean predictor, which is flagged too.
+    ``process`` is None, with a warning, whenever ``fit_to_process`` rejects
+    the fit: a ``c <= 0``, or a ``1/c`` or ``a/c`` beyond float64.
     ``target`` is the series that was fitted: the smoothed series when
-    smoothing was applied, the raw one otherwise (read-only); ``fitted`` is
-    the fit at each sample, ``step_response(fit, t - t[0])`` (read-only).
+    smoothing was applied, the raw one otherwise (read-only).  ``r_squared``
+    is measured against it and may be negative for fits worse than the mean
+    predictor, which is flagged too.  ``fitted`` is the fit at each sample,
+    ``step_response(fit, t - t[0])`` (read-only).
     """
 
     fit: FitParams
@@ -170,11 +169,11 @@ def fit_series(
     The fit runs on elapsed time ``ts.t - ts.t[0]``, so ``a`` is the value
     at the first sample whatever the clock's origin.  ``p0`` overrides the
     data-driven starting values.  Warnings flag a window larger than half
-    the series, a non-positive fitted rate, an iteration-capped solver run,
-    a negative R-squared and a fitted curve that leaves the range of the
-    raw data; none of them aborts the run.  Raises SingularEquationsError
-    when the fit is not finite in float64, which values near 1e154 (whose
-    squares overflow) bring about.
+    the series, a fit that ``fit_to_process`` rejects (``process`` is then
+    None), an iteration-capped solver run, a negative R-squared and a fitted
+    curve that leaves the range of the raw data; none of them aborts the
+    run.  Raises SingularEquationsError when the fit is not finite in
+    float64, which values near 1e154 (whose squares overflow) bring about.
     """
     warnings: list[str] = []
     t = ts.t - ts.t[0]
@@ -192,17 +191,13 @@ def fit_series(
     result = lm_fit(
         ExponentialStepModel(), t, target.y, weights, np.array([p0.a, p0.b, p0.c]), cfg
     )
-    a, b, c = (float(v) for v in result.params)
-    fit = FitParams(a=a, b=b, c=c)
+    fit = FitParams(*(float(v) for v in result.params))
 
-    process = None
-    if c > 0:
+    try:
         process = fit_to_process(fit)
-    else:
-        warnings.append(
-            f"fitted rate constant c={c:.6g} is not positive; no process "
-            "parameters derived"
-        )
+    except InvalidParameterError as exc:
+        process = None
+        warnings.append(f"{exc}; no process parameters derived")
     if result.converged == "max_iter":
         warnings.append(
             f"solver stopped at the iteration cap ({cfg.max_iter}) before "

@@ -30,6 +30,8 @@ Proves:
    with the exact model where tau + Ts or Ts / tau overflows but the
    result is representable, reports carry the stable JSON schema and parse
    as strict JSON (no NaN or Infinity, also when the damping saturates);
+ - a ``fit`` whose ``1/c`` overflows exits 0 with null ``K``, ``tau`` and
+   ``t_ambient``;
  - numeric options take negative numbers in scientific notation
    (``--gain -1e-3``, ``--b0 -2e1``);
  - ``--seed`` alone sets the seed (a ``THERMOFIT_SEED`` in the environment
@@ -380,6 +382,22 @@ def test_fit_command_saturated_damping_report_is_strict_json(tmp_path, capsys):
     assert code == 0
     report = strict_json(capsys.readouterr().out)
     assert report["lambda_final"] == np.finfo(float).max
+
+
+def test_fit_command_reports_no_process_where_tau_overflows(tmp_path, capsys):
+    # the run stops at p0, where tau = 1/c is beyond float64: the fit is
+    # reported with null process parameters instead of exit 4
+    raw = tmp_path / "r.csv"
+    run_cli("simulate", "--rate", "10", "--sigma", "0.05", "--output", str(raw))
+    code = run_cli(
+        "fit", "--input", str(raw), "--a0", "30", "--b0", "25", "--c0", "1e-310",
+        "--tol-grad", "1e300", "--format", "json",
+    )
+    assert code == 0
+    report = strict_json(capsys.readouterr().out)
+    assert report["c"] == 1e-310
+    assert report["K"] is report["tau"] is report["t_ambient"] is None
+    assert "tau must be finite; no process parameters derived" in report["warnings"]
 
 
 def test_fit_command_starting_override_requires_all_three(tmp_path, capsys):

@@ -7,7 +7,8 @@ Proves:
  - the CLI's ``--lambda0``, ``--max-iter`` and ``--tol-grad`` options of
    ``fit`` and ``pipeline`` are exactly ``LMConfig``'s fields, with its
    defaults;
- - ``pyproject.toml`` takes the version from ``thermofit.__version__``.
+ - ``pyproject.toml`` takes the version from ``thermofit.__version__``;
+ - ``src/thermofit/*.py`` holds at most 1660 lines, ROADMAP's ceiling.
 """
 
 import dataclasses
@@ -71,3 +72,13 @@ def test_version_is_stated_once():
     assert config["project"]["dynamic"] == ["version"]
     dynamic = config["tool"]["setuptools"]["dynamic"]
     assert dynamic["version"] == {"attr": "thermofit.__version__"}
+
+
+def test_source_stays_under_the_line_ceiling():
+    # counted as ``wc -l`` counts: newline characters
+    src = Path(__file__).resolve().parents[1] / "src" / "thermofit"
+    lines = sum(path.read_bytes().count(b"\n") for path in src.glob("*.py"))
+    assert lines <= 1660, (
+        f"src/thermofit has {lines} lines, over the 1660-line ceiling; see "
+        "'Line discipline' in ROADMAP.md"
+    )

@@ -16,11 +16,15 @@ Proves:
  - on the noisy acceptance regimes, raw and smoothed, the fitted ``c`` lies
    within 1e-6 standard errors of the profile oracle's stationary point
    (``helpers.stationary_rate``);
+ - the standard error of ``c`` (``helpers.standard_errors``) is calibrated:
+   over 100 seeds at 1 and 3 time constants, raw and smoothed, the RMS of
+   ``(c - c_true) / SE`` lies in [0.8, 1.2];
  - the fit runs on elapsed time: any clock origin gives the same fit, and
    ``FitReport.fitted`` is the read-only model the R-squared was taken on;
- - warnings for oversized windows, non-positive rates, capped runs and a
-   fitted curve that leaves the range of the raw data (but not for a
-   record that stops short of its asymptote);
+ - warnings for oversized windows, non-positive rates, a rate whose
+   ``1/c`` or ``a/c`` overflows (no process parameters, nothing raised),
+   capped runs and a fitted curve that leaves the range of the raw data
+   (but not for a record that stops short of its asymptote);
  - trial steps that overflow stay silent, and a record too large for
    float64 fails with SingularEquationsError, not with NumPy warnings,
    also when tiny weights keep the weighted cost finite but not R^2; a
@@ -315,6 +319,23 @@ def test_fit_series_stops_at_the_profile_stationary_point(a, b, c, smoothing):
     assert abs(rep.fit.c - c_star) <= 1e-6 * standard_errors(ts, rep)[2]
 
 
+@pytest.mark.parametrize("smoothing", [None, SGConfig(order=3, window=251)],
+                         ids=["raw", "sg-3-251"])
+@pytest.mark.parametrize("duration", [250.0, 750.0], ids=["1tau", "3tau"])
+def test_standard_error_of_c_is_calibrated(duration, smoothing):
+    # slow regime at 10 Hz, sigma 0.5, 100 seeds: the RMS of the standardized
+    # error of c is near 1 (measured 1.039 and 0.977 raw, 1.039 and 0.984
+    # smoothed, at 1 and 3 time constants)
+    c = 0.004
+    z = []
+    for seed in range(100):
+        ts = clean_series(29.07, 25.68, c, rate=10.0, duration=duration,
+                          sigma=0.5, seed=seed)
+        rep = fit_series(ts, smoothing=smoothing)
+        z.append((rep.fit.c - c) / standard_errors(ts, rep)[2])
+    assert 0.8 <= np.sqrt(np.mean(np.square(z))) <= 1.2
+
+
 def test_fit_series_sampling_rate_stability():
     fits = []
     for rate in (100.0, 500.0, 1000.0):
@@ -393,6 +414,21 @@ def test_fit_series_flags_nonpositive_rate():
     assert rep.fit.c < 0
     assert rep.process is None
     assert any("not positive" in w for w in rep.warnings)
+
+
+@pytest.mark.parametrize("c0, name", [(1e-307, "t_ambient"), (1e-310, "tau")])
+def test_fit_series_flags_a_rate_whose_process_overflows(c0, name):
+    # a huge gradient tolerance stops the run at p0, where a / c (1e-307) or
+    # 1 / c (1e-310) is beyond float64: fit_to_process's rule, not a crash
+    ts = clean_series(30.0, 25.0, 0.01, rate=10.0, sigma=0.05, seed=1)
+    p0 = FitParams(30.0, 25.0, c0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = fit_series(ts, p0=p0, cfg=LMConfig(tol_grad=1e300))
+    assert rep.result.converged == "grad"
+    assert rep.fit == p0
+    assert rep.process is None
+    assert f"{name} must be finite; no process parameters derived" in rep.warnings
 
 
 def test_fit_series_warns_at_iteration_cap():
