@@ -23,7 +23,6 @@ from pathlib import Path
 
 from .errors import (
     CsvFormatError,
-    InvalidParameterError,
     NonUniformSamplingError,
     SingularEquationsError,
     ThermofitError,
@@ -64,7 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--output", help="overlay CSV path (t, raw, smoothed, fitted)")
     _add_sg_opts(fit)
     _add_lm_opts(fit)
-    _add_guess_opts(fit)
+    fit.add_argument("--p0", nargs=3, type=float, metavar=("A", "B", "C"),
+                     help="starting (a, b, c) in place of the data-driven guess")
     _add_format_opt(fit)
     fit.set_defaults(handler=_cmd_fit)
 
@@ -118,14 +118,6 @@ def _add_lm_opts(sp):
     sp.add_argument("--max-iter", type=int, default=lm.max_iter, help="iteration cap")
     sp.add_argument("--tol-grad", type=float, default=lm.tol_grad,
                     help="gradient max-norm tolerance")
-
-
-def _add_guess_opts(sp):
-    sp.add_argument(
-        "--a0", type=float, help="starting value override (requires --b0 and --c0)"
-    )
-    sp.add_argument("--b0", type=float, help="starting asymptote override")
-    sp.add_argument("--c0", type=float, help="starting rate override")
 
 
 def _add_format_opt(sp):
@@ -193,19 +185,8 @@ def _cmd_smooth(args) -> None:
     write_csv(args.output, TimeSeries(ts.t, sg_smooth(ts.y, cfg), ts.rate))
 
 
-def _fit_overrides(args) -> FitParams | None:
-    given = [v is not None for v in (args.a0, args.b0, args.c0)]
-    if not any(given):
-        return None
-    if not all(given):
-        raise InvalidParameterError(
-            "starting-value override needs all three of --a0, --b0, --c0"
-        )
-    return FitParams(args.a0, args.b0, args.c0)
-
-
 def _cmd_fit(args) -> dict:
-    p0 = _fit_overrides(args)  # validate flags before touching the file
+    p0 = FitParams(*args.p0) if args.p0 else None  # validate before reading the file
     smoothing = _smoothing(args)
     ts = parse_csv(args.input)
     report = fit_series(ts, smoothing=smoothing, cfg=_lm_config(args), p0=p0)

@@ -87,6 +87,7 @@ class TimeSeries:
         return self.t.size
 
 
+@np.errstate(over="ignore")  # an overflowing mean is raised below
 def initial_guess(ts: TimeSeries) -> FitParams:
     """Data-driven starting values for the exponential fit.
 
@@ -94,7 +95,8 @@ def initial_guess(ts: TimeSeries) -> FitParams:
     mean of the last 5%.  ``c0 = 1 / t63`` where ``t63`` is the elapsed
     time at which the series first crosses 63.21% of the (b0 - a0) span;
     when no crossing exists, a third of the record length stands in for
-    the time constant.  Rejects flat series, which carry no step to fit.
+    the time constant.  Rejects flat series, which carry no step to fit,
+    and raises SingularEquationsError when a mean overflows float64.
     """
     if ts.n < 10:
         raise DataLengthError("initial_guess needs at least 10 samples")
@@ -102,6 +104,8 @@ def initial_guess(ts: TimeSeries) -> FitParams:
     tail = max(1, ts.n // 20)
     a0 = float(np.mean(ts.y[:head]))
     b0 = float(np.mean(ts.y[-tail:]))
+    if not (math.isfinite(a0) and math.isfinite(b0)):
+        raise SingularEquationsError("start or end level overflows float64")
     if abs(b0 - a0) <= 1e-9:
         raise FlatSeriesError(
             "series start and end levels coincide; nothing to fit"

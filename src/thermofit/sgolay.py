@@ -73,13 +73,16 @@ def sg_projection(cfg: SGConfig) -> np.ndarray:
     return q @ q.T
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def sg_smooth(data, cfg: SGConfig) -> np.ndarray:
     """Smooth a 1-d sequence; output length equals input length.
 
     Interior samples are the correlation of the data with the central row
     of the projection; the first and last ``window // 2`` samples evaluate
     the polynomial fitted to the first/last full window (polynomial edge
-    treatment).  Requires at least ``window`` samples.
+    treatment).  Requires at least ``window`` samples.  An output beyond
+    float64 comes back non-finite, without a warning; ``TimeSeries``
+    rejects it.
     """
     y = np.asarray(data, dtype=float)
     if y.ndim != 1:

@@ -32,6 +32,13 @@ Proves:
    as strict JSON (no NaN or Infinity, also when the damping saturates);
  - a ``fit`` whose ``1/c`` overflows exits 0 with null ``K``, ``tau`` and
    ``t_ambient``;
+ - ``fit`` takes its start as one ``--p0 A B C``: a partial ``--p0`` and
+   the generator's ``--a0/--b0/--c0`` are usage errors, and a non-finite
+   start exits 4 before the input is read;
+ - a finite record near the float64 limit fails with one ``error:`` line
+   and no NumPy warning: ``fit`` exits 5 with and without ``--p0``,
+   ``smooth`` exits 4;
+ - every ``thermofit`` line of README's CLI block runs and exits 0;
  - numeric options take negative numbers in scientific notation
    (``--gain -1e-3``, ``--b0 -2e1``);
  - ``--seed`` alone sets the seed (a ``THERMOFIT_SEED`` in the environment
@@ -43,6 +50,7 @@ Proves:
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -390,7 +398,7 @@ def test_fit_command_reports_no_process_where_tau_overflows(tmp_path, capsys):
     raw = tmp_path / "r.csv"
     run_cli("simulate", "--rate", "10", "--sigma", "0.05", "--output", str(raw))
     code = run_cli(
-        "fit", "--input", str(raw), "--a0", "30", "--b0", "25", "--c0", "1e-310",
+        "fit", "--input", str(raw), "--p0", "30", "25", "1e-310",
         "--tol-grad", "1e300", "--format", "json",
     )
     assert code == 0
@@ -401,11 +409,46 @@ def test_fit_command_reports_no_process_where_tau_overflows(tmp_path, capsys):
 
 
 def test_fit_command_starting_override_requires_all_three(tmp_path, capsys):
+    # --a0/--b0/--c0 are the generator truth; fit takes its start as --p0
     raw = tmp_path / "raw.csv"
     run_cli("simulate", "--output", str(raw), "--sigma", "0", "--duration", "60")
-    code = run_cli("fit", "--input", str(raw), "--a0", "29")
+    for argv, message in ((("--p0", "29"), "--p0: expected 3 arguments"),
+                          (("--a0", "29", "--b0", "26", "--c0", "0.005"),
+                           "unrecognized arguments: --a0")):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("fit", "--input", str(raw), *argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+
+def test_fit_command_checks_the_start_before_reading_the_file(tmp_path, capsys):
+    code = run_cli("fit", "--input", str(tmp_path / "missing.csv"),
+                   "--p0", "nan", "25", "0.01")
     assert code == 4
-    assert "a0" in capsys.readouterr().err
+    assert "error: a must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (("fit", "--input", "big.csv"), 5, "start or end level overflows float64"),
+    (("fit", "--input", "big.csv", "--p0", "1.5e308", "1e308", "0.1"), 5,
+     "starting cost is not finite in float64"),
+    (("smooth", "--input", "max.csv", "--output", "out.csv", "--window", "21"), 4,
+     "t and y must be finite"),
+], ids=["fit", "fit-p0", "smooth"])
+def test_record_near_the_float64_limit_exits_without_a_warning(tmp_path, argv, code,
+                                                               message):
+    # finite records whose level means (fit) or SG sums (smooth) overflow
+    t = 0.5 * np.arange(40)
+    big = 1e308 * (0.5 * np.exp(-0.1 * t) + 1)
+    near_max = np.where(t < 2.5, 1.6e308, 1.7e308)
+    write_csv(tmp_path / "big.csv", TimeSeries(t, big, 2.0))
+    write_csv(tmp_path / "max.csv", TimeSeries(t, near_max, 2.0))
+    src = str(Path(thermofit.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "thermofit.cli", *argv], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert proc.returncode == code
+    assert proc.stderr == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("command", ["smooth", "fit"])
@@ -520,8 +563,7 @@ def test_singular_normal_matrix_exit_code(tmp_path, capsys):
     # a = b zeroes the rate column of the Jacobian
     raw = tmp_path / "raw.csv"
     run_cli("simulate", "--output", str(raw), "--duration", "60")
-    code = run_cli("fit", "--input", str(raw), "--a0", "25", "--b0", "25",
-                   "--c0", "0.01")
+    code = run_cli("fit", "--input", str(raw), "--p0", "25", "25", "0.01")
     assert code == 5
     assert "singular" in capsys.readouterr().err
 
@@ -784,6 +826,17 @@ def test_text_report_mirrors_json_fields(tmp_path, capsys):
     out = capsys.readouterr().out
     for key in REPORT_KEYS:
         assert f"{key} = " in out
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("## CLI", 1)[1].split("```sh\n", 1)[1]
+    text = block.split("```", 1)[0].replace("\\\n", " ")
+    lines = [line for line in text.splitlines() if line.startswith("thermofit ")]
+    assert len(lines) >= 6
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line
 
 
 def test_usage_error_exits_two():

@@ -27,9 +27,10 @@ Proves:
    (but not for a record that stops short of its asymptote);
  - trial steps that overflow stay silent, and a record too large for
    float64 fails with SingularEquationsError, not with NumPy warnings,
-   also when tiny weights keep the weighted cost finite but not R^2; a
-   smoothed target that overflows is an InvalidParameterError with and
-   without ``p0``.
+   also when tiny weights keep the weighted cost finite but not R^2, or
+   when the means that start the fit overflow; a smoothed target that
+   overflows is an InvalidParameterError with and without ``p0``, and the
+   smoother itself stays silent.
 """
 
 import warnings
@@ -53,6 +54,7 @@ from thermofit import (
     generate,
     initial_guess,
     r_squared,
+    sg_smooth,
     step_response,
     step_response_jacobian,
 )
@@ -489,6 +491,20 @@ def test_fit_series_overflow_is_a_numerical_error():
             warnings.simplefilter("error")
             with pytest.raises(SingularEquationsError):
                 fit_series(TimeSeries(ts.t, ts.y * scale, ts.rate))
+
+
+def test_start_or_end_level_that_overflows_is_a_numerical_error():
+    # finite samples near 3e307, whose head and tail means overflow float64
+    ts = default_record(truth=FitParams(30.0, 25.0, 0.05), rate=10.0, duration=60.0,
+                        seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = TimeSeries(ts.t, ts.y * 1e306, ts.rate)
+        for call in (initial_guess, fit_series):
+            with pytest.raises(SingularEquationsError, match="level overflows"):
+                call(big)
+        # SG(3, 21) sums of samples near 5e307 overflow; TimeSeries rejects them
+        assert not np.isfinite(sg_smooth(ts.y * 1.7e306, SGConfig(3, 21))).all()
 
 
 def test_fit_series_overflowing_smoothed_target_is_invalid_with_and_without_p0():

@@ -7,6 +7,11 @@ Proves, on noisy records of a few thousand samples:
    negative included, which flips the step direction) maps ``a`` and
    ``b`` the same way and leaves ``c`` unchanged.
 
+And, on a 601-sample record scaled to any peak ``10**k`` in float64,
+that the starting guess and the fit (raw and smoothed) return finite
+values or raise a ``ThermofitError``, and that no step of them, the
+smoother included, emits a NumPy warning.
+
 "Unchanged" means within a few float64 resolutions of the least-squares
 minimum (see ``fit_and_resolution``), not within a fixed relative
 tolerance: ``lm_fit`` accepts a step only when the computed cost drops, so
@@ -17,11 +22,14 @@ on ``c`` fails there: seed 300 shifted by ``t0 = 7`` s moves ``c`` by
 moves it by 5e-7 relative (2.4e-5 standard errors).
 """
 
+import warnings
+
 import numpy as np
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from thermofit import FitParams, SynthSpec, TimeSeries, fit_series, generate
+from thermofit import (FitParams, SGConfig, SynthSpec, ThermofitError, TimeSeries,
+                       fit_series, generate, initial_guess, sg_smooth)
 
 from helpers import residual_variance, standard_errors
 
@@ -89,3 +97,25 @@ def test_affine_temperature_map_maps_levels_and_keeps_rate(seed, alpha, beta):
     scale = np.array([abs(alpha), abs(alpha), 1.0])
     ratio = np.abs(got - want) / (scale * ref_res + got_res)
     assert np.all(ratio <= SLACK), ratio
+
+
+SG = SGConfig(order=3, window=21)
+UNIT = generate(SynthSpec(FitParams(30.0, 25.0, 0.05), RATE, 60.0, 0.5, 3))
+
+
+@given(k=st.integers(min_value=-300, max_value=308))
+@example(k=308)  # the level means and the SG sums overflow
+def test_any_scale_fits_or_fails_with_a_typed_error(k):
+    ts = TimeSeries(UNIT.t, UNIT.y / np.max(UNIT.y) * 10.0**k, RATE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sg_smooth(ts.y, SG)
+        for call in (initial_guess, fit_series, lambda s: fit_series(s, smoothing=SG)):
+            try:
+                result = call(ts)
+            except ThermofitError:
+                continue
+            if isinstance(result, FitParams):
+                assert np.isfinite([result.a, result.b, result.c]).all()
+            else:
+                assert np.isfinite([result.r_squared, *result.fitted]).all()
