@@ -187,9 +187,9 @@ def _cmd_smooth(args) -> None:
 
 def _cmd_fit(args) -> dict:
     p0 = FitParams(*args.p0) if args.p0 else None  # validate before reading the file
-    smoothing = _smoothing(args)
+    smoothing, cfg = _smoothing(args), _lm_config(args)
     ts = parse_csv(args.input)
-    report = fit_series(ts, smoothing=smoothing, cfg=_lm_config(args), p0=p0)
+    report = fit_series(ts, smoothing=smoothing, cfg=cfg, p0=p0)
     if args.output:
         write_overlay(args.output, ts.t, ts.y, report.target, report.fitted)
     return report_dict(report)
@@ -212,17 +212,18 @@ def _cmd_discretize(args) -> dict:
 
 
 def _cmd_pipeline(args) -> dict:
-    spec = _synth_spec(args)
+    spec, smoothing, cfg = _synth_spec(args), _smoothing(args), _lm_config(args)
     with tempfile.TemporaryDirectory(prefix="thermofit-") as tmp:
         outdir = Path(args.output or tmp)
         outdir.mkdir(parents=True, exist_ok=True)
         raw = outdir / "raw.csv"
         write_csv(raw, generate(spec))
         ts = parse_csv(raw)  # round trip through the file on purpose
-        report = fit_series(ts, smoothing=_smoothing(args), cfg=_lm_config(args))
+        report = fit_series(ts, smoothing=smoothing, cfg=cfg)
+    d = report_dict(report)
+    if args.output:  # a temporary directory keeps only the round trip, unread
         write_smoothed_and_overlay(raw, outdir / "smoothed.csv", outdir / "overlay.csv",
                                    report.target, report.fitted)
-        d = report_dict(report)
         (outdir / "report.json").write_text(_render(d, "json") + "\n", encoding="utf-8")
     return d
 

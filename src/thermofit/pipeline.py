@@ -124,7 +124,8 @@ def initial_guess(ts: TimeSeries) -> FitParams:
 def r_squared(y, yhat) -> float:
     """Coefficient of determination 1 - SS_res / SS_tot.
 
-    Rejects constant ``y``, whose total sum of squares is zero.
+    Rejects a zero total sum of squares: constant ``y``, or one whose
+    squared spread underflows float64.
     """
     y = np.asarray(y, dtype=float)
     yhat = np.asarray(yhat, dtype=float)
@@ -134,6 +135,8 @@ def r_squared(y, yhat) -> float:
         raise FlatSeriesError("constant series has zero total sum of squares")
     ss_res = float(np.sum((y - yhat) ** 2))
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    if ss_tot == 0:
+        raise FlatSeriesError("total sum of squares underflows float64")
     return 1.0 - ss_res / ss_tot
 
 

@@ -15,7 +15,10 @@ Proves:
  - ``pipeline``'s one-pass smoothed and overlay files are byte for byte
    what ``write_csv`` and ``write_overlay`` write from the same arrays,
    around the block boundaries, smoothed or not; a run formats each of its
-   four columns once (4n floats), a window-less ``fit --output`` 3n;
+   four columns once (4n floats), a window-less ``fit --output`` 3n, and a
+   ``pipeline`` without ``--output`` 2n: its temporary directory holds only
+   ``raw.csv`` when it is removed, and stdout is byte for byte the same as
+   with ``--output`` (default and slow-regime records);
  - records with epoch timestamps survive the CSV round trip and fit like
    the same record at t = 0, through the library and the ``fit`` command;
  - each CLI command produces re-parseable artifacts and the documented
@@ -33,11 +36,14 @@ Proves:
  - a ``fit`` whose ``1/c`` overflows exits 0 with null ``K``, ``tau`` and
    ``t_ambient``;
  - ``fit`` takes its start as one ``--p0 A B C``: a partial ``--p0`` and
-   the generator's ``--a0/--b0/--c0`` are usage errors, and a non-finite
-   start exits 4 before the input is read;
+   the generator's ``--a0/--b0/--c0`` are usage errors; a non-finite start
+   or a bad solver setting exits 4 before the input is read, and a bad
+   ``pipeline`` window or solver setting exits 4 before any file is
+   written;
  - a finite record near the float64 limit fails with one ``error:`` line
    and no NumPy warning: ``fit`` exits 5 with and without ``--p0``,
-   ``smooth`` exits 4;
+   ``smooth`` exits 4, and a ``fit`` whose total sum of squares underflows
+   exits 4;
  - every ``thermofit`` line of README's CLI block runs and exits 0;
  - numeric options take negative numbers in scientific notation
    (``--gain -1e-3``, ``--b0 -2e1``);
@@ -428,21 +434,38 @@ def test_fit_command_checks_the_start_before_reading_the_file(tmp_path, capsys):
     assert "error: a must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--max-iter", "0"), "max_iter must be at least 1"),
+    (("--tol-grad", "nan"), "tol_grad must be positive and finite"),
+    (("--lambda0", "-1"), "lambda0 must be non-negative and finite"),
+], ids=["max-iter-0", "tol-grad-nan", "lambda0-negative"])
+def test_fit_command_checks_the_solver_settings_before_reading_the_file(
+        tmp_path, capsys, argv, message):
+    code = run_cli("fit", "--input", str(tmp_path / "missing.csv"), *argv)
+    assert code == 4
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, code, message", [
     (("fit", "--input", "big.csv"), 5, "start or end level overflows float64"),
     (("fit", "--input", "big.csv", "--p0", "1.5e308", "1e308", "0.1"), 5,
      "starting cost is not finite in float64"),
     (("smooth", "--input", "max.csv", "--output", "out.csv", "--window", "21"), 4,
      "t and y must be finite"),
-], ids=["fit", "fit-p0", "smooth"])
+    (("fit", "--input", "tiny.csv", "--p0", "3e-199", "2.5e-199", "0.1"), 4,
+     "total sum of squares underflows float64"),
+], ids=["fit", "fit-p0", "smooth", "fit-tiny"])
 def test_record_near_the_float64_limit_exits_without_a_warning(tmp_path, argv, code,
                                                                message):
-    # finite records whose level means (fit) or SG sums (smooth) overflow
+    # finite records whose level means (fit) or SG sums (smooth) overflow, or
+    # whose squared spread, which R^2 divides by, underflows (fit-tiny)
     t = 0.5 * np.arange(40)
     big = 1e308 * (0.5 * np.exp(-0.1 * t) + 1)
     near_max = np.where(t < 2.5, 1.6e308, 1.7e308)
+    tiny = 1e-200 * (5 * np.exp(-0.1 * t) + 25)
     write_csv(tmp_path / "big.csv", TimeSeries(t, big, 2.0))
     write_csv(tmp_path / "max.csv", TimeSeries(t, near_max, 2.0))
+    write_csv(tmp_path / "tiny.csv", TimeSeries(t, tiny, 2.0))
     src = str(Path(thermofit.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-m", "thermofit.cli", *argv], cwd=tmp_path,
                           env=dict(os.environ, PYTHONPATH=src),
@@ -705,6 +728,19 @@ def test_generator_setting_it_cannot_honour_exit_code(tmp_path, capsys, command,
 
 
 @pytest.mark.parametrize("argv, message", [
+    (("--window", "4"), "window must be an odd integer >= 3, got 4"),
+    (("--max-iter", "0"), "max_iter must be at least 1"),
+    (("--tol-grad", "nan"), "tol_grad must be positive and finite"),
+], ids=["even-window", "max-iter-0", "tol-grad-nan"])
+def test_pipeline_checks_every_setting_before_writing(tmp_path, capsys, argv, message):
+    out = tmp_path / "d"
+    code = run_cli("pipeline", "--duration", "5", "--output", str(out), *argv)
+    assert code == 4
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
     (("--lambda0", "nan"), "lambda0 must be non-negative and finite"),
     (("--tol-grad", "inf"), "tol_grad must be positive and finite"),
 ], ids=["lambda0-nan", "tol-grad-inf"])
@@ -791,6 +827,35 @@ def test_pipeline_without_output_leaves_no_directory(tmp_path, monkeypatch, caps
     assert run_cli("pipeline", "--duration", "30", "--format", "json") == 0
     assert "c" in strict_json(capsys.readouterr().out)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_pipeline_without_output_writes_only_the_round_trip(tmp_path, monkeypatch,
+                                                            formatted, capsys):
+    listed = []
+    cleanup = tempfile.TemporaryDirectory.cleanup
+
+    def listing(self):
+        listed.append(sorted(os.listdir(self.name)))
+        cleanup(self)
+
+    monkeypatch.setattr(tempfile.TemporaryDirectory, "cleanup", listing)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    assert run_cli("pipeline", "--duration", "30") == 0
+    capsys.readouterr()
+    assert listed == [["raw.csv"]]
+    assert len(formatted) == 2 * 3001  # time and raw, written once
+
+
+@pytest.mark.parametrize("argv", [
+    (),
+    ("--c0", "0.004", "--duration", "750", "--seed", "5"),
+], ids=["default", "slow"])
+def test_pipeline_report_does_not_depend_on_output(tmp_path, capsys, argv):
+    assert run_cli("pipeline", "--format", "json", *argv) == 0
+    without = capsys.readouterr().out
+    assert run_cli("pipeline", "--format", "json", "--output", str(tmp_path), *argv) == 0
+    assert capsys.readouterr().out == without
+    assert (tmp_path / "report.json").read_text() == without
 
 
 def test_cli_import_does_not_load_scipy():

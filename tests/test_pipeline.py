@@ -10,7 +10,8 @@ Proves:
    evaluates through ``step_response`` and ``step_response_jacobian``;
  - starting-value quality on clean falling and rising curves, the
    no-crossing fallback, and the flat-series rejection;
- - R-squared point values and its constant-input rejection;
+ - R-squared point values and its rejection of a constant input and of one
+   whose total sum of squares underflows to zero;
  - round-trip identification (clean to machine accuracy, noisy within 2%),
    plus the sampling-rate, smoothing-neutrality and time-shift properties;
  - on the noisy acceptance regimes, raw and smoothed, the fitted ``c`` lies
@@ -262,6 +263,13 @@ def test_r_squared_hand_value():
 def test_r_squared_rejects_constant_series():
     with pytest.raises(FlatSeriesError):
         r_squared(np.full(5, 2.0), np.arange(5.0))
+
+
+def test_r_squared_rejects_a_total_sum_of_squares_that_underflows():
+    # the spread is 2e-170, but its squares are below the smallest subnormal
+    y = 1e-170 * np.array([0.0, 1.0, 2.0])
+    with pytest.raises(FlatSeriesError, match="underflows float64"):
+        r_squared(y, y)
 
 
 def test_r_squared_rejects_length_mismatch():
