@@ -1,7 +1,7 @@
-"""CSV serialization.
+"""CSV serialization; on Linux a long write shares its rows with a forked child.
 
 Two file layouts, both UTF-8 with ``\\n`` line endings and full-precision
-decimal fields (values survive a write/read round trip exactly):
+decimal fields (values survive a write/read round trip exactly, forked or not):
 
 * measurement series: header ``time_s,temp_c``, then one ``t,y`` row per
   sample;
@@ -12,7 +12,10 @@ decimal fields (values survive a write/read round trip exactly):
 from __future__ import annotations
 
 import math
-from itertools import islice
+import os
+import signal
+from contextlib import ExitStack, suppress
+from itertools import chain, islice
 
 import numpy as np
 
@@ -25,7 +28,7 @@ __all__ = ["SERIES_HEADER", "OVERLAY_HEADER", "parse_csv", "write_csv", "write_o
 SERIES_HEADER = "time_s,temp_c"
 OVERLAY_HEADER = "time_s,raw_c,smoothed_c,fitted_c"
 
-# Rows formatted and written per block: bounds the text held in memory.
+# Rows per block: a write holds one block's text, and a forking one its second half.
 _CHUNK_ROWS = 4096
 
 
@@ -132,23 +135,51 @@ def _parse_rows(fh) -> tuple[np.ndarray, np.ndarray]:
     return np.array(times), np.array(temps)
 
 
-def _write_rows(path, header: str, columns) -> None:
-    """Write ``header`` and one comma-joined row per index of the equal-length
-    float64 ``columns``.  Each field is ``repr`` of the Python float, the
-    shortest string that round-trips exactly; a column passed more than once
-    (the same object) is formatted once per block."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for lo in range(0, len(columns[0]), _CHUNK_ROWS):
+def _write_blocks(paths, headers, n, render) -> None:
+    """Write a header line per path, then the texts, one per path, that ``render(los)``
+    yields for the 4096-row blocks of ``n`` rows at ``los``.  From 16384 rows (a fork
+    costs more below), in a process of one thread (no fork for Python 3.12+ to warn of)
+    with SIGCHLD at its default, a forked child writes the headers and first half."""
+    los, head, pid = range(0, n, _CHUNK_ROWS), [[h + "\n" for h in headers]], None
+    mid = len(los) // 2
+    with ExitStack() as stack:  # line-buffered: a text is on disk once written
+        files = [stack.enter_context(open(p, "w", 1, "utf-8")) for p in paths]
+        write = lambda parts: [f.write(t) for ts in parts for f, t in zip(files, ts)]
+        with suppress(AttributeError, OSError):  # no /proc (not Linux), SIGCHLD or fork
+            if (n >= 4 * _CHUNK_ROWS and len(os.listdir("/proc/self/task")) == 1
+                    and signal.getsignal(signal.SIGCHLD) == signal.SIG_DFL):
+                pid = os.fork()
+        if pid == 0:  # the child leaves by os._exit alone
+            try:
+                write(chain(head, render(los[:mid])))
+            except BaseException as exc:  # with an OSError's errno, else 255
+                os._exit(getattr(exc, "errno", None) or 255)
+            os._exit(0)
+        try:  # this process holds its half until the child has written the first
+            held = list(render(los[mid:])) if pid else write(chain(head, render(los)))
+        finally:
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) if pid else 0
+        if status:  # an OSError's errno in the child, 255, or minus its killing signal
+            why = os.strerror(status) if status > 0 else f"killed by signal {-status}"
+            raise OSError(status, f"{why} in a writer child", paths[0])
+        write(held if pid else ())
+
+
+def _rows(columns):
+    """The ``render`` of comma-joined rows of the float64 ``columns``, each field the
+    shortest ``repr`` that round-trips; a column given twice is formatted once."""
+    def render(los):
+        for lo in los:
             block = {id(col): col[lo:lo + _CHUNK_ROWS].tolist() for col in columns}
             text = {k: list(map(repr, values)) for k, values in block.items()}
             rows = zip(*(text[id(col)] for col in columns))
-            fh.write("\n".join(map(",".join, rows)) + "\n")
+            yield ["\n".join(map(",".join, rows)) + "\n"]
+    return render
 
 
 def write_csv(path, ts: TimeSeries) -> None:
     """Write a measurement series in the format parse_csv reads back."""
-    _write_rows(path, SERIES_HEADER, (ts.t, ts.y))
+    _write_blocks([path], [SERIES_HEADER], ts.n, _rows((ts.t, ts.y)))
 
 
 def write_overlay(path, t, raw, smoothed, fitted) -> None:
@@ -157,21 +188,22 @@ def write_overlay(path, t, raw, smoothed, fitted) -> None:
     columns = [np.asarray(c, dtype=float) for c in (t, raw, smoothed, fitted)]
     if columns[0].ndim != 1 or any(c.shape != columns[0].shape for c in columns[1:]):
         raise CsvFormatError("overlay columns must be 1-d and share one length")
-    _write_rows(path, OVERLAY_HEADER, columns)
+    _write_blocks([path], [OVERLAY_HEADER], len(columns[0]), _rows(columns))
 
 
 def write_smoothed_and_overlay(raw_path, smoothed_path, overlay_path, smoothed, fitted):
     """Write ``(t, smoothed)`` as write_csv and ``(t, raw, smoothed, fitted)`` as
     write_overlay would, in one pass that takes ``t`` and ``raw`` from the rows
     write_csv wrote to ``raw_path``: ``repr`` round-trips, so the bytes agree."""
-    with (open(raw_path, encoding="utf-8") as src,
-          open(smoothed_path, "w", encoding="utf-8") as sm,
-          open(overlay_path, "w", encoding="utf-8") as ov):
-        sm.write(src.readline())  # SERIES_HEADER
-        ov.write(OVERLAY_HEADER + "\n")
-        for lo in range(0, len(smoothed), _CHUNK_ROWS):
-            s = list(map(repr, smoothed[lo:lo + _CHUNK_ROWS].tolist()))
-            f = map(repr, fitted[lo:lo + _CHUNK_ROWS].tolist())
-            raw = [line[:-1] for line in islice(src, len(s))]
-            ov.write("\n".join(map(",".join, zip(raw, s, f, strict=True))) + "\n")
-            sm.write("".join([r[:r.index(",") + 1] + v + "\n" for r, v in zip(raw, s)]))
+    def render(los):  # opened in the process that renders: an offset of its own
+        with open(raw_path, encoding="utf-8") as src:
+            lines = islice(src, los.start + 1, None)  # the header and earlier rows
+            for lo in los:
+                raw = [line[:-1] for line in islice(lines, _CHUNK_ROWS)]
+                s = list(map(repr, smoothed[lo:lo + _CHUNK_ROWS].tolist()))
+                f = map(repr, fitted[lo:lo + _CHUNK_ROWS].tolist())
+                sm = "".join([r[:r.index(",") + 1] + v + "\n" for r, v in zip(raw, s)])
+                yield sm, "\n".join(map(",".join, zip(raw, s, f, strict=True))) + "\n"
+
+    _write_blocks([smoothed_path, overlay_path], [SERIES_HEADER, OVERLAY_HEADER],
+                  len(smoothed), render)

@@ -11,7 +11,17 @@ Proves:
    like the plain file, and names its bad rows by the same line numbers;
  - both writers emit exactly one ``repr`` per value around the boundaries
    of their row blocks, for -0.0, subnormals, large and epoch values, and
-   ``write_overlay`` formats a column passed twice once;
+   ``write_overlay`` formats a column passed twice once, counted in a
+   forked writer child too;
+ - all three writers give the same bytes with a forked child (one fork per
+   call from 4 * _CHUNK_ROWS rows) and without ``os.fork``, around that
+   size; without a fork each block is written before the next is
+   formatted; a short series file raises ValueError on both paths; a child
+   that fails raises OSError with its OSError's errno (ENOSPC on /dev/full)
+   or 255 and makes the CLI exit 3, and one killed by a signal is named;
+   a second thread or an ignored SIGCHLD keeps the write in one process,
+   a fresh interpreter with BLAS pinned to one thread forks; no child is
+   left behind;
  - ``pipeline``'s one-pass smoothed and overlay files are byte for byte
    what ``write_csv`` and ``write_overlay`` write from the same arrays,
    around the block boundaries, smoothed or not; a run formats each of its
@@ -54,12 +64,15 @@ Proves:
    without ``--output``, and importing the CLI loads no SciPy.
 """
 
+import errno
 import json
 import os
 import shlex
+import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import warnings
 from pathlib import Path
 
@@ -274,17 +287,36 @@ def test_writers_match_per_value_repr(tmp_path, n):
     assert path.read_bytes() == reference_csv(SERIES_HEADER, [ts.t, ts.y]).encode()
 
 
+class _Tally:
+    """A count kept as the length of an ``O_APPEND`` file, so that a forked
+    writer child adds to it too."""
+
+    def __init__(self, path):
+        self.fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_APPEND | os.O_TRUNC)
+
+    def add(self):
+        os.write(self.fd, b".")
+
+    def __len__(self):
+        return os.fstat(self.fd).st_size
+
+    def clear(self):
+        os.ftruncate(self.fd, 0)
+
+
 @pytest.fixture
-def formatted(monkeypatch):
-    """The floats that thermofit.io formats, recorded by patching its ``repr``."""
-    values = []
+def formatted(monkeypatch, tmp_path):
+    """The number of floats that thermofit.io formats, in this process and in
+    its writer children, counted by patching its ``repr``."""
+    tally = _Tally(tmp_path / "formatted.tally")
 
     def counting(value):
-        values.append(value)
+        tally.add()
         return repr(value)
 
     monkeypatch.setattr(thermofit.io, "repr", counting, raising=False)
-    return values
+    yield tally
+    os.close(tally.fd)
 
 
 @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK + 1, 2 * CHUNK + 1])
@@ -303,6 +335,243 @@ def test_write_smoothed_and_overlay_rejects_a_shorter_series_file(tmp_path):
     with pytest.raises(ValueError):
         write_smoothed_and_overlay(tmp_path / "raw.csv", tmp_path / "smoothed.csv",
                                    tmp_path / "overlay.csv", y, y)
+
+
+# the rows from which a write shares its blocks with a forked child
+FORK = 4 * CHUNK
+TASKS = "/proc/self/task"
+
+
+def counted_fork(monkeypatch, calls):
+    """Count the writers' ``os.fork`` calls in ``calls``, and let the writers see
+    this process as one thread: a test process may run BLAS threads.  The fork
+    beside them is the test's own doing, so Python 3.12+'s warning of it is
+    silenced here (the child only formats and writes text)."""
+    fork, listdir = os.fork, os.listdir
+
+    def counting():
+        calls.append(None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            return fork()
+
+    monkeypatch.setattr(os, "fork", counting)
+    monkeypatch.setattr(os, "listdir", lambda p: ["1"] if p == TASKS else listdir(p))
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(params=["forked", "in-process"])
+def forks(request, monkeypatch):
+    """The ``os.fork`` calls of the writers, on one of their two paths: with a
+    counted ``os.fork`` or without one.  Afterwards no child is left."""
+    calls = []
+    if request.param == "in-process":
+        monkeypatch.delattr(os, "fork")
+    else:
+        counted_fork(monkeypatch, calls)
+    yield calls
+    no_child_left()
+
+
+def overlay_columns(n):
+    y = np.resize(np.array(SPECIAL_VALUES), n)
+    return [1.7e9 + 0.01 * np.arange(n), y, np.sqrt(np.abs(y)), -y]
+
+
+@pytest.mark.parametrize("n", [2 * CHUNK + 1, FORK - 1, FORK, FORK + 1, 2 * FORK + 3])
+def test_writers_write_the_same_bytes_forked_and_in_process(tmp_path, forks, n):
+    t, y, s, f = overlay_columns(n)
+    write_csv(tmp_path / "raw.csv", TimeSeries(t, y, 100.0))
+    write_overlay(tmp_path / "overlay.csv", t, y, s, f)
+    want = reference_csv(SERIES_HEADER, [t, y]).encode()
+    assert (tmp_path / "raw.csv").read_bytes() == want
+    want = reference_csv(OVERLAY_HEADER, [t, y, s, f]).encode()
+    assert (tmp_path / "overlay.csv").read_bytes() == want
+    write_smoothed_and_overlay(tmp_path / "raw.csv", tmp_path / "smoothed.csv",
+                               tmp_path / "overlay.csv", s, f)
+    assert (tmp_path / "overlay.csv").read_bytes() == want
+    want = reference_csv(SERIES_HEADER, [t, s]).encode()
+    assert (tmp_path / "smoothed.csv").read_bytes() == want
+    forked = hasattr(os, "fork") and n >= FORK  # the fixture may delete it
+    assert len(forks) == (3 if forked else 0)  # one per writer call
+
+
+@pytest.mark.parametrize("n", [FORK - 1, FORK + 1])
+def test_a_forked_write_formats_a_repeated_column_once(tmp_path, forks, formatted, n):
+    t, y, _, f = overlay_columns(n)
+    write_overlay(tmp_path / "overlay.csv", t, y, y, f)
+    assert len(formatted) == 3 * n
+    want = reference_csv(OVERLAY_HEADER, [t, y, y, f]).encode()
+    assert (tmp_path / "overlay.csv").read_bytes() == want
+
+
+def test_a_shorter_series_file_is_rejected_on_both_paths(tmp_path, forks):
+    t, y, s, f = overlay_columns(FORK + 1)
+    write_csv(tmp_path / "raw.csv", TimeSeries(t[:-1], y[:-1], 100.0))
+    with pytest.raises(ValueError):
+        write_smoothed_and_overlay(tmp_path / "raw.csv", tmp_path / "smoothed.csv",
+                                   tmp_path / "overlay.csv", s, f)
+
+
+class _Logged:
+    """A file open for writing that logs, at each write, the floats formatted so
+    far and the lines written."""
+
+    def __init__(self, fh, log, formatted):
+        self.fh, self.log, self.formatted = fh, log, formatted
+
+    def write(self, text):
+        self.log.append((len(self.formatted), text.count("\n")))
+        return self.fh.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def test_an_unforked_write_holds_one_block_at_a_time(tmp_path, monkeypatch, formatted):
+    logs = {}
+
+    def logged_open(path, mode="r", *args, **kwargs):
+        fh = open(path, mode, *args, **kwargs)
+        return _Logged(fh, logs.setdefault(Path(path).name, []), formatted) if (
+            "w" in mode) else fh
+
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(thermofit.io, "open", logged_open, raising=False)
+    t, y, s, f = overlay_columns(2 * FORK + 3)
+    write_csv(tmp_path / "raw.csv", TimeSeries(t, y, 100.0))
+    formatted.clear()
+    write_smoothed_and_overlay(tmp_path / "raw.csv", tmp_path / "smoothed.csv",
+                               tmp_path / "overlay.csv", s, f)
+    assert set(logs) == {"raw.csv", "smoothed.csv", "overlay.csv"}
+    for name, log in logs.items():
+        # two floats a row; each block is written before the next is formatted
+        rows = np.cumsum([lines for _, lines in log]) - 1  # after the header
+        assert [count for count, _ in log] == (2 * rows).tolist(), name
+        assert len(log) == 1 + -(-(2 * FORK + 3) // CHUNK)  # the header and 9 blocks
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this system")
+def test_a_failing_writer_child_raises_oserror_and_exits_3(tmp_path, monkeypatch,
+                                                           capsys):
+    parent, calls = os.getpid(), []
+    counted_fork(monkeypatch, calls)
+
+    def parent_only(value):
+        if os.getpid() != parent:
+            raise RuntimeError("formatted in the child")
+        return repr(value)
+
+    monkeypatch.setattr(thermofit.io, "repr", parent_only, raising=False)
+    with pytest.raises(OSError, match="in a writer child") as info:
+        write_overlay(tmp_path / "overlay.csv", *overlay_columns(FORK))
+    assert info.value.errno == 255  # not an OSError in the child
+    sim = tmp_path / "sim.csv"
+    assert run_cli("simulate", "--duration", "200", "--output", str(sim)) == 3
+    assert "in a writer child" in capsys.readouterr().err
+    assert len(calls) == 2
+    no_child_left()
+
+
+@pytest.mark.skipif(not (hasattr(os, "fork") and os.path.exists("/dev/full")),
+                    reason="no os.fork or no /dev/full on this system")
+def test_a_writer_child_passes_its_errno_on(monkeypatch, capsys):
+    calls = []
+    counted_fork(monkeypatch, calls)
+    with pytest.raises(OSError) as info:
+        write_overlay("/dev/full", *overlay_columns(FORK))
+    assert info.value.errno == errno.ENOSPC
+    assert run_cli("simulate", "--duration", "200", "--output", "/dev/full") == 3
+    assert "No space left on device" in capsys.readouterr().err
+    assert len(calls) == 2
+    no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this system")
+def test_a_writer_child_killed_by_a_signal_is_named(tmp_path, monkeypatch):
+    parent, calls = os.getpid(), []
+    counted_fork(monkeypatch, calls)
+
+    def killed_in_the_child(value):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return repr(value)
+
+    monkeypatch.setattr(thermofit.io, "repr", killed_in_the_child, raising=False)
+    with pytest.raises(OSError, match=f"killed by signal {int(signal.SIGKILL)} in a "
+                                      "writer child") as info:
+        write_overlay(tmp_path / "overlay.csv", *overlay_columns(FORK))
+    assert info.value.errno == -signal.SIGKILL
+    assert len(calls) == 1
+    no_child_left()
+
+
+def test_a_second_thread_keeps_the_write_in_process(tmp_path, monkeypatch):
+    def no_fork():
+        raise AssertionError("forked beside a second thread")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        cols = overlay_columns(2 * FORK + 3)
+        write_overlay(tmp_path / "overlay.csv", *cols)
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    want = reference_csv(OVERLAY_HEADER, cols).encode()
+    assert (tmp_path / "overlay.csv").read_bytes() == want
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGCHLD"), reason="no SIGCHLD on this system")
+def test_an_ignored_sigchld_keeps_the_write_in_process(tmp_path, monkeypatch):
+    calls = []
+    counted_fork(monkeypatch, calls)
+    cols = overlay_columns(2 * FORK + 3)
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        write_overlay(tmp_path / "overlay.csv", *cols)
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    assert calls == []
+    want = reference_csv(OVERLAY_HEADER, cols).encode()
+    assert (tmp_path / "overlay.csv").read_bytes() == want
+
+
+@pytest.mark.skipif(not (hasattr(os, "fork") and os.path.isdir(TASKS)),
+                    reason="no os.fork or no /proc/self/task on this system")
+def test_a_process_of_one_thread_forks_its_long_writes(tmp_path):
+    # a fresh interpreter with BLAS pinned to one thread, as perfbench runs
+    script = f"""if True:
+        import os, sys
+        import thermofit.io as io
+        import numpy as np
+        threads, forks, fork = len(os.listdir({TASKS!r})), [], os.fork
+        os.fork = lambda: forks.append(None) or fork()
+        n = int(sys.argv[1])
+        t = 1.7e9 + 0.01 * np.arange(n)
+        io.write_overlay(sys.argv[2], t, np.sin(t), np.cos(t), -t)
+        print(threads, len(forks))
+    """
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(sys.path))
+    for n, path in [(FORK - 1, tmp_path / "short.csv"), (FORK, tmp_path / "long.csv")]:
+        out = subprocess.run([sys.executable, "-c", script, str(n), str(path)], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        threads, forked = map(int, out.split())
+        assert forked == (1 if threads == 1 and n >= FORK else 0), (n, threads)
+        t = 1.7e9 + 0.01 * np.arange(n)
+        want = reference_csv(OVERLAY_HEADER, [t, np.sin(t), np.cos(t), -t]).encode()
+        assert path.read_bytes() == want
 
 
 # ----------------------------------------------------------------------- cli
