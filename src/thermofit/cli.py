@@ -6,7 +6,7 @@ simulate    generate a synthetic noisy step-response CSV
 smooth      Savitzky-Golay smooth a measured CSV
 fit         identify (a, b, c) and process parameters from a CSV
 discretize  print the discrete-time realization of a first-order process
-pipeline    simulate -> write CSV -> re-read -> smooth -> fit, as a self-test
+pipeline    simulate -> smooth -> fit -> write CSVs -> re-read, as a self-test
 
 Exit codes: 0 success, 2 usage error, 3 file-system/CSV errors, 4 invalid
 data or configuration, 5 numerical failure.
@@ -27,7 +27,7 @@ from .errors import (
     SingularEquationsError,
     ThermofitError,
 )
-from .io import parse_csv, write_csv, write_overlay, write_smoothed_and_overlay
+from .io import parse_csv, write_csv, write_overlay, write_series_and_overlay
 from .model import FitParams, ProcessParams, DISCRETIZATION_METHODS, discretize
 from .pipeline import FitReport, TimeSeries, fit_series
 from .sgolay import SGConfig, sg_smooth
@@ -213,17 +213,22 @@ def _cmd_discretize(args) -> dict:
 
 def _cmd_pipeline(args) -> dict:
     spec, smoothing, cfg = _synth_spec(args), _smoothing(args), _lm_config(args)
+    ts = generate(spec)
     with tempfile.TemporaryDirectory(prefix="thermofit-") as tmp:
         outdir = Path(args.output or tmp)
-        outdir.mkdir(parents=True, exist_ok=True)
-        raw = outdir / "raw.csv"
-        write_csv(raw, generate(spec))
-        ts = parse_csv(raw)  # round trip through the file on purpose
+        outdir.mkdir(parents=True, exist_ok=True)  # a bad --output exits 3 before a fit
         report = fit_series(ts, smoothing=smoothing, cfg=cfg)
+        raw = outdir / "raw.csv"
+        if args.output:
+            write_series_and_overlay(raw, outdir / "smoothed.csv", outdir / "overlay.csv",
+                                     ts.t, ts.y, report.target, report.fitted)
+        else:  # a temporary directory keeps only the round trip
+            write_csv(raw, ts)
+        back = parse_csv(raw)  # the round trip through the file, compared bit for bit
+        if (back.t.tobytes(), back.y.tobytes()) != (ts.t.tobytes(), ts.y.tobytes()):
+            raise CsvFormatError(f"{raw} does not read back as the series written to it")
     d = report_dict(report)
-    if args.output:  # a temporary directory keeps only the round trip, unread
-        write_smoothed_and_overlay(raw, outdir / "smoothed.csv", outdir / "overlay.csv",
-                                   report.target, report.fitted)
+    if args.output:
         (outdir / "report.json").write_text(_render(d, "json") + "\n", encoding="utf-8")
     return d
 

@@ -15,7 +15,7 @@ import math
 import os
 import signal
 from contextlib import ExitStack, suppress
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .errors import CsvFormatError, NonMonotoneTimeError
 from .pipeline import TimeSeries
 
 __all__ = ["SERIES_HEADER", "OVERLAY_HEADER", "parse_csv", "write_csv", "write_overlay",
-           "write_smoothed_and_overlay"]
+           "write_series_and_overlay"]
 
 SERIES_HEADER = "time_s,temp_c"
 OVERLAY_HEADER = "time_s,raw_c,smoothed_c,fitted_c"
@@ -165,15 +165,21 @@ def _write_blocks(paths, headers, n, render) -> None:
         write(held if pid else ())
 
 
-def _rows(columns):
-    """The ``render`` of comma-joined rows of the float64 ``columns``, each field the
-    shortest ``repr`` that round-trips; a column given twice is formatted once."""
+def _rows(*files):
+    """The ``render`` of comma-joined rows, one text per tuple of columns in ``files``;
+    a field is the shortest ``repr`` that round-trips its float64 value.  The columns
+    must be 1-d and share one length; a column given twice is formatted once."""
+    arrays = {id(col): np.asarray(col, dtype=float) for cols in files for col in cols}
+    first = next(iter(arrays.values()))
+    if first.ndim != 1 or any(a.shape != first.shape for a in arrays.values()):
+        raise CsvFormatError("CSV columns must be 1-d and share one length")
+
     def render(los):
         for lo in los:
-            block = {id(col): col[lo:lo + _CHUNK_ROWS].tolist() for col in columns}
-            text = {k: list(map(repr, values)) for k, values in block.items()}
-            rows = zip(*(text[id(col)] for col in columns))
-            yield ["\n".join(map(",".join, rows)) + "\n"]
+            text = {k: list(map(repr, a[lo:lo + _CHUNK_ROWS].tolist()))
+                    for k, a in arrays.items()}
+            yield ["\n".join(map(",".join, zip(*(text[id(c)] for c in cols)))) + "\n"
+                   for cols in files]
     return render
 
 
@@ -185,25 +191,14 @@ def write_csv(path, ts: TimeSeries) -> None:
 def write_overlay(path, t, raw, smoothed, fitted) -> None:
     """Write the plotting overlay: time, raw, smoothed and fitted columns.
     ``smoothed`` may be ``raw`` itself when no smoothing was applied."""
-    columns = [np.asarray(c, dtype=float) for c in (t, raw, smoothed, fitted)]
-    if columns[0].ndim != 1 or any(c.shape != columns[0].shape for c in columns[1:]):
-        raise CsvFormatError("overlay columns must be 1-d and share one length")
-    _write_blocks([path], [OVERLAY_HEADER], len(columns[0]), _rows(columns))
+    render = _rows((t, raw, smoothed, fitted))
+    _write_blocks([path], [OVERLAY_HEADER], len(t), render)
 
 
-def write_smoothed_and_overlay(raw_path, smoothed_path, overlay_path, smoothed, fitted):
-    """Write ``(t, smoothed)`` as write_csv and ``(t, raw, smoothed, fitted)`` as
-    write_overlay would, in one pass that takes ``t`` and ``raw`` from the rows
-    write_csv wrote to ``raw_path``: ``repr`` round-trips, so the bytes agree."""
-    def render(los):  # opened in the process that renders: an offset of its own
-        with open(raw_path, encoding="utf-8") as src:
-            lines = islice(src, los.start + 1, None)  # the header and earlier rows
-            for lo in los:
-                raw = [line[:-1] for line in islice(lines, _CHUNK_ROWS)]
-                s = list(map(repr, smoothed[lo:lo + _CHUNK_ROWS].tolist()))
-                f = map(repr, fitted[lo:lo + _CHUNK_ROWS].tolist())
-                sm = "".join([r[:r.index(",") + 1] + v + "\n" for r, v in zip(raw, s)])
-                yield sm, "\n".join(map(",".join, zip(raw, s, f, strict=True))) + "\n"
-
-    _write_blocks([smoothed_path, overlay_path], [SERIES_HEADER, OVERLAY_HEADER],
-                  len(smoothed), render)
+def write_series_and_overlay(raw_path, smoothed_path, overlay_path, t, raw, smoothed,
+                             fitted) -> None:
+    """Write ``(t, raw)`` and ``(t, smoothed)`` as write_csv and ``(t, raw, smoothed,
+    fitted)`` as write_overlay would, in one pass that formats each column once."""
+    render = _rows((t, raw), (t, smoothed), (t, raw, smoothed, fitted))
+    _write_blocks([raw_path, smoothed_path, overlay_path],
+                  [SERIES_HEADER, SERIES_HEADER, OVERLAY_HEADER], len(t), render)

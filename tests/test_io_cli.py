@@ -16,19 +16,23 @@ Proves:
  - all three writers give the same bytes with a forked child (one fork per
    call from 4 * _CHUNK_ROWS rows) and without ``os.fork``, around that
    size; without a fork each block is written before the next is
-   formatted; a short series file raises ValueError on both paths; a child
-   that fails raises OSError with its OSError's errno (ENOSPC on /dev/full)
-   or 255 and makes the CLI exit 3, and one killed by a signal is named;
+   formatted; columns of unequal length raise CsvFormatError on both paths
+   before a file is opened or a child forked; a child that fails raises
+   OSError with its OSError's errno (ENOSPC on /dev/full) or 255 and makes
+   the CLI exit 3, and one killed by a signal is named;
    a second thread or an ignored SIGCHLD keeps the write in one process,
-   a fresh interpreter with BLAS pinned to one thread forks; no child is
-   left behind;
- - ``pipeline``'s one-pass smoothed and overlay files are byte for byte
-   what ``write_csv`` and ``write_overlay`` write from the same arrays,
+   a fresh interpreter with BLAS pinned to one thread forks, once for all
+   three files of a ``pipeline --output`` run; no child is left behind;
+ - ``pipeline``'s one-pass raw, smoothed and overlay files are byte for
+   byte what ``write_csv`` and ``write_overlay`` write from the same arrays,
    around the block boundaries, smoothed or not; a run formats each of its
    four columns once (4n floats), a window-less ``fit --output`` 3n, and a
    ``pipeline`` without ``--output`` 2n: its temporary directory holds only
    ``raw.csv`` when it is removed, and stdout is byte for byte the same as
    with ``--output`` (default and slow-regime records);
+ - ``pipeline`` reads ``raw.csv`` back and exits 3 with one ``error:`` line
+   naming it when a value differs by one ulp, and a run whose fit fails
+   (exit 4) leaves its ``--output`` directory empty;
  - records with epoch timestamps survive the CSV round trip and fit like
    the same record at t = 0, through the library and the ``fit`` command;
  - each CLI command produces re-parseable artifacts and the documented
@@ -99,7 +103,7 @@ from thermofit.io import (
     OVERLAY_HEADER,
     SERIES_HEADER,
     write_overlay,
-    write_smoothed_and_overlay,
+    write_series_and_overlay,
 )
 
 REPORT_KEYS = {
@@ -329,14 +333,6 @@ def test_write_overlay_formats_a_repeated_column_once(tmp_path, formatted, n):
     assert path.read_bytes() == reference_csv(OVERLAY_HEADER, [t, y, y, -y]).encode()
 
 
-def test_write_smoothed_and_overlay_rejects_a_shorter_series_file(tmp_path):
-    y = np.resize(np.array(SPECIAL_VALUES), CHUNK + 1)
-    write_csv(tmp_path / "raw.csv", TimeSeries(np.arange(CHUNK), y[:-1], 1.0))
-    with pytest.raises(ValueError):
-        write_smoothed_and_overlay(tmp_path / "raw.csv", tmp_path / "smoothed.csv",
-                                   tmp_path / "overlay.csv", y, y)
-
-
 # the rows from which a write shares its blocks with a forked child
 FORK = 4 * CHUNK
 TASKS = "/proc/self/task"
@@ -385,17 +381,19 @@ def overlay_columns(n):
 @pytest.mark.parametrize("n", [2 * CHUNK + 1, FORK - 1, FORK, FORK + 1, 2 * FORK + 3])
 def test_writers_write_the_same_bytes_forked_and_in_process(tmp_path, forks, n):
     t, y, s, f = overlay_columns(n)
+    want = {"raw.csv": reference_csv(SERIES_HEADER, [t, y]).encode(),
+            "smoothed.csv": reference_csv(SERIES_HEADER, [t, s]).encode(),
+            "overlay.csv": reference_csv(OVERLAY_HEADER, [t, y, s, f]).encode()}
     write_csv(tmp_path / "raw.csv", TimeSeries(t, y, 100.0))
     write_overlay(tmp_path / "overlay.csv", t, y, s, f)
-    want = reference_csv(SERIES_HEADER, [t, y]).encode()
-    assert (tmp_path / "raw.csv").read_bytes() == want
-    want = reference_csv(OVERLAY_HEADER, [t, y, s, f]).encode()
-    assert (tmp_path / "overlay.csv").read_bytes() == want
-    write_smoothed_and_overlay(tmp_path / "raw.csv", tmp_path / "smoothed.csv",
-                               tmp_path / "overlay.csv", s, f)
-    assert (tmp_path / "overlay.csv").read_bytes() == want
-    want = reference_csv(SERIES_HEADER, [t, s]).encode()
-    assert (tmp_path / "smoothed.csv").read_bytes() == want
+    for name in ("raw.csv", "overlay.csv"):
+        assert (tmp_path / name).read_bytes() == want[name], name
+    one_pass = tmp_path / "one-pass"
+    one_pass.mkdir()
+    write_series_and_overlay(one_pass / "raw.csv", one_pass / "smoothed.csv",
+                             one_pass / "overlay.csv", t, y, s, f)
+    for name in want:
+        assert (one_pass / name).read_bytes() == want[name], name
     forked = hasattr(os, "fork") and n >= FORK  # the fixture may delete it
     assert len(forks) == (3 if forked else 0)  # one per writer call
 
@@ -409,12 +407,13 @@ def test_a_forked_write_formats_a_repeated_column_once(tmp_path, forks, formatte
     assert (tmp_path / "overlay.csv").read_bytes() == want
 
 
-def test_a_shorter_series_file_is_rejected_on_both_paths(tmp_path, forks):
+def test_columns_of_unequal_length_are_rejected_on_both_paths(tmp_path, forks):
     t, y, s, f = overlay_columns(FORK + 1)
-    write_csv(tmp_path / "raw.csv", TimeSeries(t[:-1], y[:-1], 100.0))
-    with pytest.raises(ValueError):
-        write_smoothed_and_overlay(tmp_path / "raw.csv", tmp_path / "smoothed.csv",
-                                   tmp_path / "overlay.csv", s, f)
+    with pytest.raises(CsvFormatError, match="share one length"):
+        write_series_and_overlay(tmp_path / "raw.csv", tmp_path / "smoothed.csv",
+                                 tmp_path / "overlay.csv", t, y, s[:-1], f)
+    assert forks == []
+    assert list(tmp_path.iterdir()) == []
 
 
 class _Logged:
@@ -446,15 +445,13 @@ def test_an_unforked_write_holds_one_block_at_a_time(tmp_path, monkeypatch, form
     monkeypatch.delattr(os, "fork")
     monkeypatch.setattr(thermofit.io, "open", logged_open, raising=False)
     t, y, s, f = overlay_columns(2 * FORK + 3)
-    write_csv(tmp_path / "raw.csv", TimeSeries(t, y, 100.0))
-    formatted.clear()
-    write_smoothed_and_overlay(tmp_path / "raw.csv", tmp_path / "smoothed.csv",
-                               tmp_path / "overlay.csv", s, f)
+    write_series_and_overlay(tmp_path / "raw.csv", tmp_path / "smoothed.csv",
+                             tmp_path / "overlay.csv", t, y, s, f)
     assert set(logs) == {"raw.csv", "smoothed.csv", "overlay.csv"}
     for name, log in logs.items():
-        # two floats a row; each block is written before the next is formatted
+        # four floats a row; each block is written before the next is formatted
         rows = np.cumsum([lines for _, lines in log]) - 1  # after the header
-        assert [count for count, _ in log] == (2 * rows).tolist(), name
+        assert [count for count, _ in log] == (4 * rows).tolist(), name
         assert len(log) == 1 + -(-(2 * FORK + 3) // CHUNK)  # the header and 9 blocks
 
 
@@ -572,6 +569,31 @@ def test_a_process_of_one_thread_forks_its_long_writes(tmp_path):
         t = 1.7e9 + 0.01 * np.arange(n)
         want = reference_csv(OVERLAY_HEADER, [t, np.sin(t), np.cos(t), -t]).encode()
         assert path.read_bytes() == want
+
+
+@pytest.mark.skipif(not (hasattr(os, "fork") and os.path.isdir(TASKS)),
+                    reason="no os.fork or no /proc/self/task on this system")
+def test_a_pipeline_run_forks_once(tmp_path):
+    # a fresh interpreter with BLAS pinned to one thread, as perfbench runs
+    script = f"""if True:
+        import os, sys
+        import thermofit.cli as cli
+        threads, forks, fork = len(os.listdir({TASKS!r})), [], os.fork
+        os.fork = lambda: forks.append(None) or fork()
+        code = cli.main(sys.argv[1:])
+        print(code, threads, len(forks), file=sys.stderr)
+    """
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(sys.path))
+    argv = ["pipeline", "--rate", "1", "--duration", str(FORK - 1), "--window", "0",
+            "--output", str(tmp_path / "d")]
+    err = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                         capture_output=True, text=True, check=True).stderr
+    code, threads, forked = map(int, err.split()[-3:])
+    assert code == 0
+    assert forked == (1 if threads == 1 else 0), threads  # one write of all three files
+    for name in ("raw.csv", "smoothed.csv", "overlay.csv"):
+        assert len((tmp_path / "d" / name).read_bytes().splitlines()) == 1 + FORK, name
 
 
 # ----------------------------------------------------------------------- cli
@@ -1074,9 +1096,10 @@ def test_pipeline_artifacts_match_the_writers(tmp_path, capsys, n, window):
     assert ts.n == n
     smoothing = SGConfig(3, int(window)) if window != "0" else None
     report = fit_series(ts, smoothing=smoothing)
+    write_csv(tmp_path / "raw.csv", ts)
     write_csv(tmp_path / "smoothed.csv", TimeSeries(ts.t, report.target, ts.rate))
     write_overlay(tmp_path / "overlay.csv", ts.t, ts.y, report.target, report.fitted)
-    for name in ("smoothed.csv", "overlay.csv"):
+    for name in ("raw.csv", "smoothed.csv", "overlay.csv"):
         assert (outdir / name).read_bytes() == (tmp_path / name).read_bytes(), name
 
 
@@ -1113,6 +1136,31 @@ def test_pipeline_without_output_writes_only_the_round_trip(tmp_path, monkeypatc
     capsys.readouterr()
     assert listed == [["raw.csv"]]
     assert len(formatted) == 2 * 3001  # time and raw, written once
+
+
+@pytest.mark.parametrize("output", [True, False], ids=["output", "temporary"])
+def test_pipeline_round_trip_is_compared_bit_for_bit(tmp_path, monkeypatch, capsys,
+                                                     output):
+    def one_ulp_off(path):
+        ts = parse_csv(path)
+        y = ts.y.copy()
+        y[7] = np.nextafter(y[7], np.inf)
+        return TimeSeries(ts.t, y, ts.rate)
+
+    monkeypatch.setattr(thermofit.cli, "parse_csv", one_ulp_off)
+    argv = ["--output", str(tmp_path / "d")] if output else []
+    assert run_cli("pipeline", "--duration", "30", *argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and "raw.csv" in line
+
+
+def test_a_failed_pipeline_fit_leaves_the_output_directory_empty(tmp_path, capsys):
+    out = tmp_path / "d"
+    assert run_cli("pipeline", "--duration", "5", "--output", str(out)) == 4
+    assert "error: need at least window=901 samples" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [
