@@ -153,6 +153,7 @@ def report_dict(report: FitReport) -> dict:
         "lambda_final": report.result.lambda_final,
         "cost": report.result.cost,
         "accepted_steps": report.result.accepted_steps,
+        **report.stats,
         "warnings": list(report.warnings),
     }
 

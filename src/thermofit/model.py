@@ -33,7 +33,6 @@ __all__ = [
     "ProcessParams",
     "FitParams",
     "DiscreteModel",
-    "heat_rates",
     "ode_rhs",
     "derive_process_params",
     "process_to_fit",
@@ -185,21 +184,13 @@ class DiscreteModel:
         return sum(self.num) / sum(self.den)
 
 
-def heat_rates(p: PhysicalParams, temp: float, volts: float):
-    """Return ``(generated, lost)`` heat-flow rates in watts.
-
-    Generation is ``lamp_constant * volts``; loss is
-    ``area * heat_transfer_coeff * (temp - t_ambient)`` and is negative when
-    the box sits below ambient.
-    """
+def ode_rhs(p: PhysicalParams, temp: float, volts: float) -> float:
+    """Temperature rate of change in degC/s, the box's energy balance: lamp
+    heat ``lamp_constant * volts`` less wall loss
+    ``area * heat_transfer_coeff * (temp - t_ambient)`` (negative below
+    ambient), both in watts, over ``rho * cp``."""
     q_gen = p.lamp_constant * volts
     q_loss = p.area * p.heat_transfer_coeff * (temp - p.t_ambient)
-    return q_gen, q_loss
-
-
-def ode_rhs(p: PhysicalParams, temp: float, volts: float) -> float:
-    """Temperature rate of change, degC/s: stored heat rate over rho*cp."""
-    q_gen, q_loss = heat_rates(p, temp, volts)
     return (q_gen - q_loss) / (p.rho * p.cp)
 
 

@@ -150,7 +150,12 @@ class FitReport:
     smoothing was applied, the raw one otherwise (read-only).  ``r_squared``
     is measured against it and may be negative for fits worse than the mean
     predictor, which is flagged too.  ``fitted`` is the fit at each sample,
-    ``step_response(fit, t - t[0])`` (read-only).
+    ``step_response(fit, t - t[0])`` (read-only).  ``stats`` holds ``dfe``
+    (n - 3), ``sse`` and ``rmse = sqrt(sse / dfe)`` of the raw record, weighted
+    as the fit, and the standard errors ``se`` of ``(a, b, c)`` with their
+    ``correlation``, from ``sse / dfe * pinv(J^T W J)`` under white noise.
+    Each is None where it is undefined or not finite: ``rmse`` at ``dfe == 0``,
+    ``se`` and ``correlation`` unless every standard error is positive.
     """
 
     fit: FitParams
@@ -161,6 +166,7 @@ class FitReport:
     warnings: tuple[str, ...]
     target: np.ndarray = field(repr=False)
     fitted: np.ndarray = field(repr=False)
+    stats: dict = field(repr=False)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite fit is raised below
@@ -177,10 +183,11 @@ def fit_series(
     at the first sample whatever the clock's origin.  ``p0`` overrides the
     data-driven starting values.  Warnings flag a window larger than half
     the series, a fit that ``fit_to_process`` rejects (``process`` is then
-    None), an iteration-capped solver run, a negative R-squared and a fitted
-    curve that leaves the range of the raw data; none of them aborts the
-    run.  Raises SingularEquationsError when the fit is not finite in
-    float64, which values near 1e154 (whose squares overflow) bring about.
+    None), an iteration-capped solver run, a negative R-squared, a fitted
+    curve that leaves the range of the raw data and a standard error of ``c``
+    over 10% of ``|c|``; none of them aborts the run.  Raises
+    SingularEquationsError when the fit is not finite in float64, which values
+    near 1e154 (whose squares overflow) bring about.
     """
     warnings: list[str] = []
     t = ts.t - ts.t[0]
@@ -221,6 +228,20 @@ def fit_series(
     if r2 < 0:
         warnings.append("fit is worse than the mean predictor (negative R^2)")
     warnings.extend(_range_warnings(ts.y, fitted))
+    dfe, r = ts.n - result.params.size, ts.y - fitted  # raw, smoothed or not
+    sse = float(np.sum((1.0 if weights is None else weights.values) * r * r))
+    stats = {"dfe": dfe, "sse": None, "rmse": None, "se": None, "correlation": None}
+    if math.isfinite(sse):  # a raw residual past 1e154 that smoothing hid squares to inf
+        stats.update(sse=sse, rmse=math.sqrt(sse / dfe) if dfe else None)
+    if dfe and np.isfinite(result.normal_matrix).all():  # else pinv raises
+        cov = sse / dfe * np.linalg.pinv(result.normal_matrix)
+        se = np.sqrt(np.diag(cov))
+        if np.all(np.isfinite(se) & (se > 0)):
+            corr = np.clip(cov / np.outer(se, se), -1.0, 1.0)  # rounding passes 1
+            stats.update(se=se.tolist(), correlation=corr.tolist())
+            if se[2] > 0.1 * abs(fit.c):
+                warnings.append(f"standard error of c {se[2]:.3g} exceeds 10% of "
+                                f"|c| = {abs(fit.c):.3g}; the rate is poorly determined")
 
     return FitReport(
         fit=fit,
@@ -231,6 +252,7 @@ def fit_series(
         warnings=tuple(warnings),
         target=target.y,
         fitted=fitted,
+        stats=stats,
     )
 
 

@@ -34,7 +34,6 @@ __all__ = [
     "LMConfig",
     "FitResult",
     "JacobianCheck",
-    "lm_step",
     "lm_fit",
     "validate_jacobian",
 ]
@@ -183,21 +182,6 @@ def _validate_data(t, y, weights, n_params):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is raised or rejected
-def lm_step(model: ResidualModel, t, y, weights: Weights | None, p, lam: float):
-    """One candidate update: solve the damped normal equations at ``p``.
-
-    Returns the step ``h``; the caller decides acceptance.  ``lam >= 0``.
-    """
-    if lam < 0:
-        raise InvalidParameterError("lam must be non-negative")
-    p = np.asarray(p, dtype=float)
-    t, y, w = _validate_data(t, y, weights, p.size)
-    r = y - np.asarray(model.predict(t, p), dtype=float)
-    a, g = _system(model, t, w, p, r)
-    return _solve_damped(a, g, lam)
-
-
-@np.errstate(over="ignore", invalid="ignore")
 def lm_fit(
     model: ResidualModel,
     t,

@@ -48,7 +48,9 @@ Proves:
    result is representable, reports carry the stable JSON schema and parse
    as strict JSON (no NaN or Infinity, also when the damping saturates);
  - a ``fit`` whose ``1/c`` overflows exits 0 with null ``K``, ``tau`` and
-   ``t_ambient``;
+   ``t_ambient``; a ``fit --p0`` of three rows exits 0 with ``dfe`` 0 and
+   null ``rmse``, ``se`` and ``correlation``, which sit between
+   ``accepted_steps`` and ``warnings``;
  - ``fit`` takes its start as one ``--p0 A B C``: a partial ``--p0`` and
    the generator's ``--a0/--b0/--c0`` are usage errors; a non-finite start
    or a bad solver setting exits 4 before the input is read, and a bad
@@ -109,6 +111,7 @@ from thermofit.io import (
 REPORT_KEYS = {
     "a", "b", "c", "K", "tau", "t_ambient",
     "r_squared", "iterations", "converged", "lambda_final",
+    "dfe", "sse", "rmse", "se", "correlation",
 }
 
 
@@ -703,6 +706,20 @@ def test_fit_command_reports_no_process_where_tau_overflows(tmp_path, capsys):
     assert report["c"] == 1e-310
     assert report["K"] is report["tau"] is report["t_ambient"] is None
     assert "tau must be finite; no process parameters derived" in report["warnings"]
+
+
+def test_fit_command_on_three_rows_reports_no_uncertainty(tmp_path, capsys):
+    # three rows fit the three parameters exactly and leave no degree of freedom
+    raw = tmp_path / "three.csv"
+    raw.write_text("time_s,temp_c\n0,30\n1,27\n2,26\n")
+    code = run_cli("fit", "--input", str(raw), "--p0", "30", "25", "0.5",
+                   "--format", "json")
+    assert code == 0
+    report = strict_json(capsys.readouterr().out)
+    assert list(report)[-7:] == ["accepted_steps", "dfe", "sse", "rmse", "se",
+                                 "correlation", "warnings"]
+    assert report["dfe"] == 0
+    assert report["rmse"] is report["se"] is report["correlation"] is None
 
 
 def test_fit_command_starting_override_requires_all_three(tmp_path, capsys):

@@ -1,9 +1,9 @@
-"""Core thermal model: heat rates, ODE, parameter maps, step response,
-discretization and the two simulators.
+"""Core thermal model: the energy-balance ODE, parameter maps, step
+response, discretization and the two simulators.
 
 Proves, among others:
- - heat-rate and ODE values by direct substitution, including the
-   below-ambient sign and both equilibria;
+ - ODE values by direct substitution of its lamp-heat and wall-loss terms,
+   including the below-ambient sign and both equilibria;
  - parameter lumping (gain = lamp/(area*U), tau = rho*cp/(area*U)) and its
    scaling law, plus exact round trips between process and fit parameters;
  - fit parameters reject NaN and infinite a, b and c, process parameters
@@ -61,7 +61,6 @@ from thermofit import (
     derive_process_params,
     discretize,
     fit_to_process,
-    heat_rates,
     ode_rhs,
     process_to_fit,
     simulate_continuous,
@@ -86,20 +85,14 @@ BOX = PhysicalParams(
 # ---------------------------------------------------------------- heat rates
 
 
-def test_heat_rates_equilibrium():
-    assert heat_rates(BOX, temp=25.0, volts=0.0) == (0.0, 0.0)
-
-
 def test_heat_rates_substitution():
-    q_gen, q_loss = heat_rates(BOX, temp=30.0, volts=3.0)
-    assert q_gen == pytest.approx(6.0, abs=1e-12)
-    assert q_loss == pytest.approx(2.0, abs=1e-12)
+    # lamp heat 2 * 3 = 6 W less wall loss 0.1 * 4 * (30 - 25) = 2 W, over rho cp
+    assert ode_rhs(BOX, temp=30.0, volts=3.0) == pytest.approx(4.0 / 1206.0, rel=1e-12)
 
 
 def test_heat_rates_below_ambient_is_negative_loss():
-    q_gen, q_loss = heat_rates(BOX, temp=20.0, volts=0.0)
-    assert q_gen == 0.0
-    assert q_loss == pytest.approx(-2.0, abs=1e-12)
+    # 5 degC below ambient the wall loss is -2 W: the box warms with the lamp off
+    assert ode_rhs(BOX, temp=20.0, volts=0.0) == pytest.approx(2.0 / 1206.0, rel=1e-12)
 
 
 def test_physical_params_reject_nonpositive():

@@ -8,7 +8,8 @@ Proves:
    ``fit`` and ``pipeline`` are exactly ``LMConfig``'s fields, with its
    defaults;
  - ``pyproject.toml`` takes the version from ``thermofit.__version__``;
- - ``src/thermofit/*.py`` holds at most 1660 lines, ROADMAP's ceiling.
+ - ``src/thermofit/*.py`` holds at most 1660 lines, ROADMAP's ceiling, and
+   none of them is over 90 characters.
 """
 
 import dataclasses
@@ -82,3 +83,15 @@ def test_source_stays_under_the_line_ceiling():
         f"src/thermofit has {lines} lines, over the 1660-line ceiling; see "
         "'Line discipline' in ROADMAP.md"
     )
+
+
+def test_source_lines_stay_within_90_characters():
+    # the line ceiling counts lines, so no line may grow to pay for it
+    src = Path(__file__).resolve().parents[1] / "src" / "thermofit"
+    long = [
+        f"{path.name}:{number}"
+        for path in sorted(src.glob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if len(line) > 90
+    ]
+    assert not long, f"lines over 90 characters: {long}"

@@ -16,10 +16,15 @@ Proves:
    plus the sampling-rate, smoothing-neutrality and time-shift properties;
  - on the noisy acceptance regimes, raw and smoothed, the fitted ``c`` lies
    within 1e-6 standard errors of the profile oracle's stationary point
-   (``helpers.stationary_rate``);
- - the standard error of ``c`` (``helpers.standard_errors``) is calibrated:
-   over 100 seeds at 1 and 3 time constants, raw and smoothed, the RMS of
-   ``(c - c_true) / SE`` lies in [0.8, 1.2];
+   (``helpers.stationary_rate``), and the report's ``stats["se"]`` (from
+   ``pinv``) is ``helpers.standard_errors`` (from ``inv``) to 1e-9;
+ - the report's standard error of ``c`` is calibrated: over 100 seeds at 1
+   and 3 time constants, raw and smoothed, the RMS of ``(c - c_true) / SE``
+   lies in [0.8, 1.2];
+ - constant weights give the unweighted standard errors; the correlation
+   matrix is symmetric, with a unit diagonal and entries in [-1, 1]; a
+   record cut at half a time constant warns that the SE of ``c`` is over
+   10% of ``|c|``, and the slow regime does not;
  - the fit runs on elapsed time: any clock origin gives the same fit, and
    ``FitReport.fitted`` is the read-only model the R-squared was taken on;
  - warnings for oversized windows, non-positive rates, a rate whose
@@ -31,7 +36,9 @@ Proves:
    also when tiny weights keep the weighted cost finite but not R^2, or
    when the means that start the fit overflow; a smoothed target that
    overflows is an InvalidParameterError with and without ``p0``, and the
-   smoother itself stays silent.
+   smoother itself stays silent; a raw residual whose square overflows
+   while the smoothed target's do not leaves every statistic of ``stats``
+   but ``dfe`` None.
 """
 
 import warnings
@@ -327,6 +334,7 @@ def test_fit_series_stops_at_the_profile_stationary_point(a, b, c, smoothing):
     rep = fit_series(ts, smoothing=smoothing)
     c_star = stationary_rate(ts.t - ts.t[0], rep.target, 0.5 * c, 2.0 * c)
     assert abs(rep.fit.c - c_star) <= 1e-6 * standard_errors(ts, rep)[2]
+    np.testing.assert_allclose(rep.stats["se"], standard_errors(ts, rep), rtol=1e-9)
 
 
 @pytest.mark.parametrize("smoothing", [None, SGConfig(order=3, window=251)],
@@ -342,8 +350,41 @@ def test_standard_error_of_c_is_calibrated(duration, smoothing):
         ts = clean_series(29.07, 25.68, c, rate=10.0, duration=duration,
                           sigma=0.5, seed=seed)
         rep = fit_series(ts, smoothing=smoothing)
-        z.append((rep.fit.c - c) / standard_errors(ts, rep)[2])
+        z.append((rep.fit.c - c) / rep.stats["se"][2])
     assert 0.8 <= np.sqrt(np.mean(np.square(z))) <= 1.2
+
+
+def test_constant_weights_give_the_unweighted_standard_errors():
+    # sse and J^T W J both scale by the weight, so their ratio does not
+    ts = clean_series(29.07, 25.68, 0.004, rate=10.0, duration=750.0, sigma=0.5,
+                      seed=0)
+    plain = fit_series(ts)
+    weighted = fit_series(ts, weights=Weights.from_sigma(np.full(ts.n, 0.25)))
+    np.testing.assert_allclose(weighted.stats["se"], plain.stats["se"], rtol=1e-12)
+
+
+@pytest.mark.parametrize("smoothing", [None, SGConfig(order=3, window=901)],
+                         ids=["raw", "sg-3-901"])
+def test_correlation_is_a_correlation_matrix(smoothing):
+    ts = clean_series(29.07, 25.68, 0.004, duration=750.0, sigma=0.5, seed=0)
+    corr = np.array(fit_series(ts, smoothing=smoothing).stats["correlation"])
+    np.testing.assert_allclose(corr, corr.T, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(np.diag(corr), 1.0, rtol=0, atol=1e-12)
+    assert np.all(np.abs(corr) <= 1.0)
+
+
+def test_standard_error_warning_flags_a_record_cut_at_half_a_time_constant():
+    cut = generate(SynthSpec(FitParams(30.0, 25.0, 0.01), 1.0, 50.0, 0.05, 0))
+    rep = fit_series(cut)
+    assert rep.stats["se"][2] > 0.1 * rep.fit.c  # measured 20%
+    assert [w for w in rep.warnings if "standard error" in w] == [
+        f"standard error of c {rep.stats['se'][2]:.3g} exceeds 10% of "
+        f"|c| = {rep.fit.c:.3g}; the rate is poorly determined"
+    ]
+    slow = clean_series(29.07, 25.68, 0.004, duration=750.0, sigma=0.5, seed=0)
+    rep = fit_series(slow, smoothing=SGConfig(order=3, window=901))
+    assert rep.stats["se"][2] < 0.01 * rep.fit.c  # measured 0.65%
+    assert rep.warnings == ()
 
 
 def test_fit_series_sampling_rate_stability():
@@ -534,6 +575,19 @@ def test_fit_series_weighted_fit_with_non_finite_r_squared_is_a_numerical_error(
     ts = TimeSeries(t, 1e155 * (5.0 * np.exp(-0.1 * t) + 25.0), 2.0)
     with pytest.raises(SingularEquationsError, match="R\\^2 or fitted values"):
         fit_series(ts, weights=Weights(np.full(40, 1e-300)))
+
+
+def test_raw_sse_that_overflows_is_reported_as_none():
+    # SG(3, 21) spreads a 2e154 spike so that the fitted target's squares stay
+    # finite, but the raw residual's square overflows: no statistic is reported
+    t = 0.5 * np.arange(200)
+    y = 5.0 * np.exp(-0.05 * t) + 25.0
+    y[100] = 2e154
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = fit_series(TimeSeries(t, y, 2.0), smoothing=SGConfig(order=3, window=21))
+    assert rep.stats == {"dfe": 197, "sse": None, "rmse": None, "se": None,
+                         "correlation": None}
 
 
 def test_fit_series_starting_override_is_used():

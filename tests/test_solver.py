@@ -2,9 +2,10 @@
 the finite-difference Jacobian validator.
 
 Proves:
- - an undamped step from any point lands exactly on the least-squares
-   solution of a linear problem, and a zero-residual start yields a zero
-   step;
+ - a one-iteration ``lm_fit`` run takes the damped step: undamped from any
+   point it lands exactly on the least-squares solution of a linear
+   problem, and a zero-residual start stops on the gradient test where it
+   began;
  - damping shrinks the step monotonically (measured in the diagonal
    scaling's own metric) and drives it to zero;
  - the full fit recovers exponential parameters from exact data to 1e-8
@@ -26,7 +27,7 @@ Proves:
    whose square leaves float64, without a NumPy warning; ``LMConfig``
    rejects NaN and inf in each of its float fields;
  - data whose cost or normal matrix overflows float64 raise
-   SingularEquationsError from lm_fit and lm_step without a NumPy warning,
+   SingularEquationsError from lm_fit without a NumPy warning,
    and on any finite data up to 1e300 lm_fit ends with a finite cost or
    that error (hypothesis);
  - the validator flags a sign-flipped Jacobian column with deviation 2
@@ -63,7 +64,6 @@ from thermofit import (
     generate,
     initial_guess,
     lm_fit,
-    lm_step,
     step_response,
     validate_jacobian,
 )
@@ -73,15 +73,18 @@ T_LIN = np.arange(10.0)
 Y_LIN = 2.0 * T_LIN + 1.0
 
 
-# ----------------------------------------------------------------- lm_step
+# ---------------------------------------------------------- one damped step
+# A run capped at one iteration takes one damped step; on the linear problem
+# every damped step lowers the cost, so it is accepted and is params - p.
 
 
 def test_undamped_step_is_exact_least_squares():
     model = LinearModel()
     for p in ([0.0, 0.0], [5.0, -3.0], [100.0, 42.0]):
         p = np.array(p)
-        h = lm_step(model, T_LIN, Y_LIN, None, p, 0.0)
-        np.testing.assert_allclose(p + h, [2.0, 1.0], atol=1e-10)
+        res = lm_fit(model, T_LIN, Y_LIN, None, p, LMConfig(lambda0=0.0, max_iter=1))
+        assert res.accepted_steps == 1
+        np.testing.assert_allclose(res.params, [2.0, 1.0], atol=1e-10)
 
 
 def test_zero_residual_gives_zero_step():
@@ -89,8 +92,9 @@ def test_zero_residual_gives_zero_step():
     truth = np.array([3.0, 0.4])
     t = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
     y = model.predict(t, truth)
-    h = lm_step(model, t, y, None, truth, 1e-3)
-    assert np.max(np.abs(h)) < 1e-10
+    res = lm_fit(model, t, y, None, truth, LMConfig(lambda0=1e-3, max_iter=1))
+    assert (res.converged, res.iterations) == ("grad", 0)
+    assert np.array_equal(res.params, truth)
 
 
 def test_damping_shrinks_step_monotonically():
@@ -101,26 +105,18 @@ def test_damping_shrinks_step_monotonically():
     j = model.jacobian_row(T_LIN, p)
     scale = np.sqrt(np.diag(j.T @ j))
     lams = (0.0, 0.1, 1.0, 10.0, 100.0, 1e4, 1e6)
-    steps = [lm_step(model, T_LIN, Y_LIN, None, p, lam) for lam in lams]
+    runs = [lm_fit(model, T_LIN, Y_LIN, None, p, LMConfig(lambda0=lam, max_iter=1))
+            for lam in lams]
+    assert all(res.accepted_steps == 1 for res in runs)
+    steps = [res.params - p for res in runs]
     scaled_norms = [np.linalg.norm(scale * h) for h in steps]
     assert all(a > b for a, b in zip(scaled_norms, scaled_norms[1:]))
     assert np.linalg.norm(steps[-1]) < 1e-4 * np.linalg.norm(steps[0])
 
 
-def test_lm_step_rejects_negative_damping_and_short_data():
-    model = LinearModel()
-    with pytest.raises(InvalidParameterError):
-        lm_step(model, T_LIN, Y_LIN, None, np.zeros(2), -1.0)
-    with pytest.raises(DataLengthError):
-        lm_step(model, T_LIN[:1], Y_LIN[:1], None, np.zeros(2), 1.0)
-
-
 def test_singular_system_raises_distinct_error():
-    model = DeadParameterModel()
     with pytest.raises(SingularEquationsError):
-        lm_step(model, T_LIN, Y_LIN, None, np.array([1.0, 1.0]), 1e-3)
-    with pytest.raises(SingularEquationsError):
-        lm_fit(model, T_LIN, Y_LIN, None, np.array([1.0, 1.0]))
+        lm_fit(DeadParameterModel(), T_LIN, Y_LIN, None, np.array([1.0, 1.0]))
 
 
 # ------------------------------------------------------------------ weights
@@ -370,8 +366,6 @@ def test_overflowing_data_raise_singular_without_warning():
             warnings.simplefilter("error")
             with pytest.raises(SingularEquationsError):
                 lm_fit(ExponentialStepModel(), ts.t, y, None, p0)
-            with pytest.raises(SingularEquationsError):
-                lm_step(ExponentialStepModel(), ts.t, y, None, p0, 1e-3)
 
 
 @given(
@@ -397,6 +391,8 @@ def test_lm_fit_input_validation():
         lm_fit(LinearModel(), T_LIN, Y_LIN[:-1], None, np.zeros(2))
     with pytest.raises(DataLengthError):
         lm_fit(LinearModel(), T_LIN, Y_LIN, Weights.unit(3), np.zeros(2))
+    with pytest.raises(DataLengthError):  # fewer points than parameters
+        lm_fit(LinearModel(), T_LIN[:1], Y_LIN[:1], None, np.zeros(2))
 
 
 def test_result_arrays_are_frozen():
