@@ -19,6 +19,7 @@ import json
 import re
 import sys
 import tempfile
+from contextlib import nullcontext
 from pathlib import Path
 
 from .errors import (
@@ -215,8 +216,9 @@ def _cmd_discretize(args) -> dict:
 def _cmd_pipeline(args) -> dict:
     spec, smoothing, cfg = _synth_spec(args), _smoothing(args), _lm_config(args)
     ts = generate(spec)
-    with tempfile.TemporaryDirectory(prefix="thermofit-") as tmp:
-        outdir = Path(args.output or tmp)
+    with (nullcontext(args.output) if args.output
+          else tempfile.TemporaryDirectory(prefix="thermofit-")) as directory:
+        outdir = Path(directory)
         outdir.mkdir(parents=True, exist_ok=True)  # a bad --output exits 3 before a fit
         report = fit_series(ts, smoothing=smoothing, cfg=cfg)
         raw = outdir / "raw.csv"

@@ -115,8 +115,7 @@ def _parse_rows(fh) -> tuple[np.ndarray, np.ndarray]:
                 line=lineno,
             )
         try:
-            t_val = float(parts[0])
-            y_val = float(parts[1])
+            t_val, y_val = map(float, parts)
         except ValueError:
             raise CsvFormatError(
                 f"non-numeric field in row {row!r}", line=lineno
@@ -135,70 +134,65 @@ def _parse_rows(fh) -> tuple[np.ndarray, np.ndarray]:
     return np.array(times), np.array(temps)
 
 
-def _write_blocks(paths, headers, n, render) -> None:
-    """Write a header line per path, then the texts, one per path, that ``render(los)``
-    yields for the 4096-row blocks of ``n`` rows at ``los``.  From 16384 rows (a fork
+def _write_blocks(files) -> None:
+    """Write each ``(path, header, columns)`` of ``files``: the header line, then a
+    comma-joined row per index of its columns, each field the shortest ``repr`` that
+    round-trips its float64 value.  The columns must be 1-d and share one length; a
+    column given twice is formatted once per 4096-row block.  From 16384 rows (a fork
     costs more below), in a process of one thread (no fork for Python 3.12+ to warn of)
     with SIGCHLD at its default, a forked child writes the headers and first half."""
-    los, head, pid = range(0, n, _CHUNK_ROWS), [[h + "\n" for h in headers]], None
-    mid = len(los) // 2
-    with ExitStack() as stack:  # line-buffered: a text is on disk once written
-        files = [stack.enter_context(open(p, "w", 1, "utf-8")) for p in paths]
-        write = lambda parts: [f.write(t) for ts in parts for f, t in zip(files, ts)]
-        with suppress(AttributeError, OSError):  # no /proc (not Linux), SIGCHLD or fork
-            if (n >= 4 * _CHUNK_ROWS and len(os.listdir("/proc/self/task")) == 1
-                    and signal.getsignal(signal.SIGCHLD) == signal.SIG_DFL):
-                pid = os.fork()
-        if pid == 0:  # the child leaves by os._exit alone
-            try:
-                write(chain(head, render(los[:mid])))
-            except BaseException as exc:  # with an OSError's errno, else 255
-                os._exit(getattr(exc, "errno", None) or 255)
-            os._exit(0)
-        try:  # this process holds its half until the child has written the first
-            held = list(render(los[mid:])) if pid else write(chain(head, render(los)))
-        finally:
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) if pid else 0
-        if status:  # an OSError's errno in the child, 255, or minus its killing signal
-            why = os.strerror(status) if status > 0 else f"killed by signal {-status}"
-            raise OSError(status, f"{why} in a writer child", paths[0])
-        write(held if pid else ())
-
-
-def _rows(*files):
-    """The ``render`` of comma-joined rows, one text per tuple of columns in ``files``;
-    a field is the shortest ``repr`` that round-trips its float64 value.  The columns
-    must be 1-d and share one length; a column given twice is formatted once."""
-    arrays = {id(col): np.asarray(col, dtype=float) for cols in files for col in cols}
+    arrays = {id(col): np.asarray(col, dtype=float) for *_, cols in files for col in cols}
     first = next(iter(arrays.values()))
     if first.ndim != 1 or any(a.shape != first.shape for a in arrays.values()):
         raise CsvFormatError("CSV columns must be 1-d and share one length")
 
-    def render(los):
+    def texts(los):  # a text per file for each block at ``los``
         for lo in los:
             text = {k: list(map(repr, a[lo:lo + _CHUNK_ROWS].tolist()))
                     for k, a in arrays.items()}
             yield ["\n".join(map(",".join, zip(*(text[id(c)] for c in cols)))) + "\n"
-                   for cols in files]
-    return render
+                   for *_, cols in files]
+
+    los, pid = range(0, first.size, _CHUNK_ROWS), None
+    head, mid = [[h + "\n" for _, h, _ in files]], len(los) // 2
+    with ExitStack() as stack:  # line-buffered: a text is on disk once written
+        fhs = [stack.enter_context(open(p, "w", 1, "utf-8")) for p, *_ in files]
+        write = lambda parts: [f.write(t) for ts in parts for f, t in zip(fhs, ts)]
+        with suppress(AttributeError, OSError):  # no /proc (not Linux), SIGCHLD or fork
+            if (first.size >= 4 * _CHUNK_ROWS and len(os.listdir("/proc/self/task")) == 1
+                    and signal.getsignal(signal.SIGCHLD) == signal.SIG_DFL):
+                pid = os.fork()
+        if pid == 0:  # the child leaves by os._exit alone
+            try:
+                write(chain(head, texts(los[:mid])))
+            except BaseException as exc:  # with an OSError's errno, else 255
+                os._exit(getattr(exc, "errno", None) or 255)
+            os._exit(0)
+        try:  # this process holds its half until the child has written the first
+            held = list(texts(los[mid:])) if pid else write(chain(head, texts(los)))
+        finally:
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) if pid else 0
+        if status:  # an OSError's errno in the child, 255, or minus its killing signal
+            why = os.strerror(status) if status > 0 else f"killed by signal {-status}"
+            raise OSError(status, f"{why} in a writer child", files[0][0])
+        write(held if pid else ())
 
 
 def write_csv(path, ts: TimeSeries) -> None:
     """Write a measurement series in the format parse_csv reads back."""
-    _write_blocks([path], [SERIES_HEADER], ts.n, _rows((ts.t, ts.y)))
+    _write_blocks([(path, SERIES_HEADER, (ts.t, ts.y))])
 
 
 def write_overlay(path, t, raw, smoothed, fitted) -> None:
     """Write the plotting overlay: time, raw, smoothed and fitted columns.
     ``smoothed`` may be ``raw`` itself when no smoothing was applied."""
-    render = _rows((t, raw, smoothed, fitted))
-    _write_blocks([path], [OVERLAY_HEADER], len(t), render)
+    _write_blocks([(path, OVERLAY_HEADER, (t, raw, smoothed, fitted))])
 
 
 def write_series_and_overlay(raw_path, smoothed_path, overlay_path, t, raw, smoothed,
                              fitted) -> None:
     """Write ``(t, raw)`` and ``(t, smoothed)`` as write_csv and ``(t, raw, smoothed,
     fitted)`` as write_overlay would, in one pass that formats each column once."""
-    render = _rows((t, raw), (t, smoothed), (t, raw, smoothed, fitted))
-    _write_blocks([raw_path, smoothed_path, overlay_path],
-                  [SERIES_HEADER, SERIES_HEADER, OVERLAY_HEADER], len(t), render)
+    _write_blocks([(raw_path, SERIES_HEADER, (t, raw)),
+                   (smoothed_path, SERIES_HEADER, (t, smoothed)),
+                   (overlay_path, OVERLAY_HEADER, (t, raw, smoothed, fitted))])

@@ -153,7 +153,8 @@ class FitReport:
     ``step_response(fit, t - t[0])`` (read-only).  ``stats`` holds ``dfe``
     (n - 3), ``sse`` and ``rmse = sqrt(sse / dfe)`` of the raw record, weighted
     as the fit, and the standard errors ``se`` of ``(a, b, c)`` with their
-    ``correlation``, from ``sse / dfe * pinv(J^T W J)`` under white noise.
+    ``correlation``, from ``sse / dfe * pinv(J^T W J)`` under white noise, and
+    the ``resolution``, the smallest gap between distinct raw values.
     Each is None where it is undefined or not finite: ``rmse`` at ``dfe == 0``,
     ``se`` and ``correlation`` unless every standard error is positive.
     """
@@ -227,10 +228,12 @@ def fit_series(
         )
     if r2 < 0:
         warnings.append("fit is worse than the mean predictor (negative R^2)")
-    warnings.extend(_range_warnings(ts.y, fitted))
+    gaps = np.diff(np.sort(ts.y))  # np.unique would import numpy.ma; all 0 for one value
     dfe, r = ts.n - result.params.size, ts.y - fitted  # raw, smoothed or not
     sse = float(np.sum((1.0 if weights is None else weights.values) * r * r))
-    stats = {"dfe": dfe, "sse": None, "rmse": None, "se": None, "correlation": None}
+    stats = {"dfe": dfe, "sse": None, "rmse": None, "se": None, "correlation": None,
+             "resolution": float(gaps[gaps > 0].min()) if gaps.any() else None}
+    warnings.extend(_range_warnings(ts.y, fitted, stats["resolution"]))
     if math.isfinite(sse):  # a raw residual past 1e154 that smoothing hid squares to inf
         stats.update(sse=sse, rmse=math.sqrt(sse / dfe) if dfe else None)
     if dfe and np.isfinite(result.normal_matrix).all():  # else pinv raises
@@ -256,16 +259,17 @@ def fit_series(
     )
 
 
-def _range_warnings(y, fitted) -> list[str]:
+def _range_warnings(y, fitted, q) -> list[str]:
     """Flag a fitted curve that leaves ``[min(y), max(y)]`` of the raw record
-    by more than 1e-6 of that span (rounding of a noise-free fit stays inside).
+    by more than 1e-6 of that span (a noise-free fit's rounding) plus ``q / 2``
+    (a record printed to resolution ``q`` may stop that short of its ends).
 
     The curve is monotone, so its ends decide: ``a`` at the first sample and
     the value at the last.  ``b`` itself is not checked, because a record
     that stops short of the asymptote puts a correct ``b`` outside the data.
     """
     lo, hi = float(np.min(y)), float(np.max(y))
-    slack = 1e-6 * (hi - lo)
+    slack = 1e-6 * (hi - lo) + (q or 0.0) / 2
     ends = (("first sample (a)", fitted[0]), ("last sample", fitted[-1]))
     return [
         f"fitted value at the {name} {float(v):.6g} lies outside the data range "

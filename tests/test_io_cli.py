@@ -49,8 +49,9 @@ Proves:
    as strict JSON (no NaN or Infinity, also when the damping saturates);
  - a ``fit`` whose ``1/c`` overflows exits 0 with null ``K``, ``tau`` and
    ``t_ambient``; a ``fit --p0`` of three rows exits 0 with ``dfe`` 0 and
-   null ``rmse``, ``se`` and ``correlation``, which sit between
-   ``accepted_steps`` and ``warnings``;
+   null ``rmse``, ``se`` and ``correlation``, which sit with ``resolution``
+   between ``accepted_steps`` and ``warnings``; a ``fit --p0`` of a record
+   of one value exits 0 with a null ``resolution``;
  - ``fit`` takes its start as one ``--p0 A B C``: a partial ``--p0`` and
    the generator's ``--a0/--b0/--c0`` are usage errors; a non-finite start
    or a bad solver setting exits 4 before the input is read, and a bad
@@ -66,8 +67,9 @@ Proves:
  - ``--seed`` alone sets the seed (a ``THERMOFIT_SEED`` in the environment
    changes no byte), and ``fit`` fits unweighted: ``--sigma`` is a usage
    error there;
- - ``pipeline`` smooths once, leaves no temporary directory behind
-   without ``--output``, and importing the CLI loads no SciPy.
+ - ``pipeline`` smooths once, makes a temporary directory only without
+   ``--output`` and leaves none behind, and a ``pipeline --output`` run in
+   a fresh interpreter loads neither SciPy nor ``numpy.ma``.
 """
 
 import errno
@@ -111,7 +113,7 @@ from thermofit.io import (
 REPORT_KEYS = {
     "a", "b", "c", "K", "tau", "t_ambient",
     "r_squared", "iterations", "converged", "lambda_final",
-    "dfe", "sse", "rmse", "se", "correlation",
+    "dfe", "sse", "rmse", "se", "correlation", "resolution",
 }
 
 
@@ -716,10 +718,23 @@ def test_fit_command_on_three_rows_reports_no_uncertainty(tmp_path, capsys):
                    "--format", "json")
     assert code == 0
     report = strict_json(capsys.readouterr().out)
-    assert list(report)[-7:] == ["accepted_steps", "dfe", "sse", "rmse", "se",
-                                 "correlation", "warnings"]
+    assert list(report)[-8:] == ["accepted_steps", "dfe", "sse", "rmse", "se",
+                                 "correlation", "resolution", "warnings"]
     assert report["dfe"] == 0
+    assert report["resolution"] == 1.0  # the gap between 26 and 27
     assert report["rmse"] is report["se"] is report["correlation"] is None
+
+
+def test_fit_command_on_a_record_of_one_value_reports_no_resolution(tmp_path, capsys):
+    # smoothing leaves ulp-level spread, so R^2 is defined; the raw record has
+    # no gap between distinct values, and the range check keeps its old slack
+    raw = tmp_path / "c.csv"
+    raw.write_text("time_s,temp_c\n" + "".join(f"{0.5 * i!r},25.3\n" for i in range(40)))
+    code = run_cli("fit", "--input", str(raw), "--p0", "30", "25", "0.1",
+                   "--window", "5", "--format", "json")
+    assert code == 0
+    report = strict_json(capsys.readouterr().out)
+    assert "resolution" in report and report["resolution"] is None
 
 
 def test_fit_command_starting_override_requires_all_three(tmp_path, capsys):
@@ -1138,6 +1153,23 @@ def test_pipeline_without_output_leaves_no_directory(tmp_path, monkeypatch, caps
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("output", [True, False], ids=["output", "temporary"])
+def test_pipeline_makes_a_temporary_directory_only_without_output(tmp_path, monkeypatch,
+                                                                  capsys, output):
+    made, mkdtemp = [], tempfile.mkdtemp  # TemporaryDirectory makes its own through it
+
+    def counted(*args, **kwargs):
+        made.append(mkdtemp(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(tempfile, "mkdtemp", counted)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    argv = ["--output", str(tmp_path / "d")] if output else []
+    assert run_cli("pipeline", "--duration", "30", *argv) == 0
+    capsys.readouterr()
+    assert len(made) == (0 if output else 1)
+
+
 def test_pipeline_without_output_writes_only_the_round_trip(tmp_path, monkeypatch,
                                                             formatted, capsys):
     listed = []
@@ -1192,13 +1224,17 @@ def test_pipeline_report_does_not_depend_on_output(tmp_path, capsys, argv):
     assert (tmp_path / "report.json").read_text() == without
 
 
-def test_cli_import_does_not_load_scipy():
+def test_pipeline_run_loads_neither_scipy_nor_numpy_ma(tmp_path):
+    # io._median stands in for np.median, whose first call imports numpy.ma
     src = str(Path(thermofit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    probe = "import sys, thermofit.cli; print('scipy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=env,
-                         capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "False"
+    probe = ("import sys; from thermofit.cli import main; code = main(sys.argv[1:]); "
+             "print(code, *(m in sys.modules for m in ('scipy', 'numpy.ma')), "
+             "file=sys.stderr)")
+    argv = ["pipeline", "--duration", "30", "--output", str(tmp_path / "d")]
+    err = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
+                         capture_output=True, text=True, check=True).stderr
+    assert err.strip() == "0 False False"
 
 
 def test_seed_variable_is_not_read_and_fit_takes_no_sigma(tmp_path, monkeypatch):

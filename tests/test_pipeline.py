@@ -31,6 +31,11 @@ Proves:
    ``1/c`` or ``a/c`` overflows (no process parameters, nothing raised),
    capped runs and a fitted curve that leaves the range of the raw data
    (but not for a record that stops short of its asymptote);
+ - the range warning allows half the record's resolution (``stats
+   ["resolution"]``, the smallest gap between distinct raw values): over
+   100 seeds of clean records printed to 0.1, 0.0625 and 0.01 degC, and
+   unrounded, it fires at most 2% of the time (10% at 0.01 degC), while a
+   record with 20 s of dead time, rounded or not, still warns;
  - trial steps that overflow stay silent, and a record too large for
    float64 fails with SingularEquationsError, not with NumPy warnings,
    also when tiny weights keep the weighted cost finite but not R^2, or
@@ -38,7 +43,7 @@ Proves:
    overflows is an InvalidParameterError with and without ``p0``, and the
    smoother itself stays silent; a raw residual whose square overflows
    while the smoothed target's do not leaves every statistic of ``stats``
-   but ``dfe`` None.
+   but ``dfe`` and ``resolution`` None.
 """
 
 import warnings
@@ -524,6 +529,43 @@ def test_fit_series_flags_fit_outside_data_range():
     ]
 
 
+def out_of_range(rep):
+    return any("outside the data range" in w for w in rep.warnings)
+
+
+@pytest.mark.parametrize("q, sigma, allowed", [
+    (0.1, 0.02, 2), (0.1, 0.05, 2), (0.0625, 0.0, 2), (0.01, 0.005, 10), (None, 0.05, 2),
+])
+def test_range_warning_allows_for_the_record_resolution(q, sigma, allowed):
+    # a logger prints to a resolution q, so a clean record's extreme samples
+    # may sit up to q/2 inside the true ends; without that slack the warning
+    # fired on 70, 14, 100, 42 and 1 of these 100 seeds
+    alarms = 0
+    for seed in range(100):
+        ts = clean_series(30.0, 25.0, 0.01, rate=10.0, duration=300.0, seed=seed,
+                          sigma=sigma)
+        y = ts.y if q is None else np.round(ts.y / q) * q
+        rep = fit_series(TimeSeries(ts.t, y, ts.rate))
+        if q is not None:
+            assert rep.stats["resolution"] == pytest.approx(q)
+        alarms += out_of_range(rep)
+    assert alarms <= allowed
+
+
+@pytest.mark.parametrize("q", [None, 0.1])
+def test_range_warning_still_flags_a_record_with_dead_time(q):
+    # 20 s at 30 degC before the decay starts: the fit puts a near 30.63,
+    # half a degree above every sample, which the slack must not excuse
+    t = np.arange(3001) / 10.0
+    for seed in range(5):
+        noise = np.random.default_rng(seed).normal(0.0, 0.05, t.size)
+        y = np.where(t < 20, 30.0, 25.0 + 5.0 * np.exp(-0.01 * (t - 20))) + noise
+        y = y if q is None else np.round(y / q) * q
+        rep = fit_series(TimeSeries(t, y, 10.0))
+        assert rep.fit.a > y.max() + 0.3
+        assert out_of_range(rep)
+
+
 def test_fit_series_overflowing_trial_steps_raise_no_warning():
     # a record cut at 0.3 time constants: early trial steps overflow exp
     ts = default_record(truth=FitParams(30.0, 25.0, 0.001))
@@ -587,7 +629,8 @@ def test_raw_sse_that_overflows_is_reported_as_none():
         warnings.simplefilter("error")
         rep = fit_series(TimeSeries(t, y, 2.0), smoothing=SGConfig(order=3, window=21))
     assert rep.stats == {"dfe": 197, "sse": None, "rmse": None, "se": None,
-                         "correlation": None}
+                         "correlation": None,
+                         "resolution": float(np.diff(np.unique(y)).min())}
 
 
 def test_fit_series_starting_override_is_used():
