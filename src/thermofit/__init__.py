@@ -4,23 +4,21 @@ Models heat flow in a closed box, generates or ingests noisy temperature
 time series, smooths them with a Savitzky-Golay filter, and estimates
 process parameters by weighted Levenberg-Marquardt least squares.
 
-The package re-exports the ``__all__`` of each module below; each module
-declares its own public names.
+The package re-exports the ``__all__`` of each module in ``_MODULES``. The
+first lookup of a name imports the modules and binds every name (PEP 562),
+so ``import thermofit`` alone loads no NumPy.
 """
 
-from . import errors, io, model, pipeline, sgolay, solver, synth
-from .errors import *
-from .io import *
-from .model import *
-from .pipeline import *
-from .sgolay import *
-from .solver import *
-from .synth import *
+from importlib import import_module
 
+_MODULES = ("errors", "io", "model", "pipeline", "sgolay", "solver", "synth")
 __version__ = "0.1.0"
 
-__all__ = [
-    name
-    for module in (errors, io, model, pipeline, sgolay, solver, synth)
-    for name in module.__all__
-]
+
+def __getattr__(name: str):
+    modules = [import_module(f"{__name__}.{module}") for module in _MODULES]
+    public = {n: getattr(module, n) for module in modules for n in module.__all__}
+    globals().update(public, __all__=list(public))
+    if name not in globals():
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return globals()[name]

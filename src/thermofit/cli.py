@@ -16,11 +16,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import tempfile
 from contextlib import nullcontext
 from pathlib import Path
+
+if not {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before NumPy loads; lets io's writer fork
 
 from .errors import (
     CsvFormatError,

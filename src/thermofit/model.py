@@ -163,8 +163,8 @@ class DiscreteModel:
             raise InvalidParameterError(
                 "first order only: den = (1, den[1]) and one or two num coefficients"
             )
-        if self.delay_samples < 0:
-            raise InvalidParameterError("delay_samples must be non-negative")
+        if not (self.delay_samples >= 0 and float(self.delay_samples).is_integer()):
+            raise InvalidParameterError("delay_samples must be a non-negative integer")
         # dc_gain divides by 1 - pole, so the pole is tested first
         finite = [self.sample_time, *self.num, self.den[1]]
         if self.pole == 1 or not np.isfinite([*finite, self.dc_gain]).all():
@@ -332,7 +332,7 @@ def simulate_discrete(m: DiscreteModel, inputs, initial_temp: float) -> np.ndarr
     u = np.asarray(inputs, dtype=float)
     if u.ndim != 1 or u.size == 0:
         raise DataLengthError("input must be a non-empty 1-d sequence")
-    d = min(m.delay_samples, u.size)
+    d = min(int(m.delay_samples), u.size)
     u = np.concatenate([np.zeros(d), u[: u.size - d]])
     return _recurrence(m.pole - 1.0, np.convolve(u, m.num)[1 : u.size], initial_temp)
 

@@ -260,8 +260,8 @@ def fit_series(
 
 
 def _range_warnings(y, fitted, q) -> list[str]:
-    """Flag a fitted curve that leaves ``[min(y), max(y)]`` of the raw record
-    by more than 1e-6 of that span (a noise-free fit's rounding) plus ``q / 2``
+    """Flag a fitted curve that leaves ``[min(y), max(y)]`` of the raw record by
+    more than rounding (1e-6 of that span, 1e-12 of its magnitude) plus ``q / 2``
     (a record printed to resolution ``q`` may stop that short of its ends).
 
     The curve is monotone, so its ends decide: ``a`` at the first sample and
@@ -269,7 +269,7 @@ def _range_warnings(y, fitted, q) -> list[str]:
     that stops short of the asymptote puts a correct ``b`` outside the data.
     """
     lo, hi = float(np.min(y)), float(np.max(y))
-    slack = 1e-6 * (hi - lo) + (q or 0.0) / 2
+    slack = 1e-6 * (hi - lo) + (q or 0.0) / 2 + 1e-12 * max(abs(lo), abs(hi))
     ends = (("first sample (a)", fitted[0]), ("last sample", fitted[-1]))
     return [
         f"fitted value at the {name} {float(v):.6g} lies outside the data range "

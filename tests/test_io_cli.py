@@ -22,7 +22,10 @@ Proves:
    the CLI exit 3, and one killed by a signal is named;
    a second thread or an ignored SIGCHLD keeps the write in one process,
    a fresh interpreter with BLAS pinned to one thread forks, once for all
-   three files of a ``pipeline --output`` run; no child is left behind;
+   three files of a ``pipeline --output`` run, and so does one with both
+   thread variables unset, because the CLI pins OpenBLAS; a user's
+   ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is kept; no child is
+   left behind;
  - ``pipeline``'s one-pass raw, smoothed and overlay files are byte for
    byte what ``write_csv`` and ``write_overlay`` write from the same arrays,
    around the block boundaries, smoothed or not; a run formats each of its
@@ -51,7 +54,7 @@ Proves:
    ``t_ambient``; a ``fit --p0`` of three rows exits 0 with ``dfe`` 0 and
    null ``rmse``, ``se`` and ``correlation``, which sit with ``resolution``
    between ``accepted_steps`` and ``warnings``; a ``fit --p0`` of a record
-   of one value exits 0 with a null ``resolution``;
+   of one value exits 0 with a null ``resolution`` and no range warning;
  - ``fit`` takes its start as one ``--p0 A B C``: a partial ``--p0`` and
    the generator's ``--a0/--b0/--c0`` are usage errors; a non-finite start
    or a bad solver setting exits 4 before the input is read, and a bad
@@ -579,26 +582,36 @@ def test_a_process_of_one_thread_forks_its_long_writes(tmp_path):
 @pytest.mark.skipif(not (hasattr(os, "fork") and os.path.isdir(TASKS)),
                     reason="no os.fork or no /proc/self/task on this system")
 def test_a_pipeline_run_forks_once(tmp_path):
-    # a fresh interpreter with BLAS pinned to one thread, as perfbench runs
+    # a fresh interpreter with BLAS pinned to one thread, as perfbench runs; with
+    # both thread variables unset, as a user runs, the CLI pins OpenBLAS itself;
+    # a thread count the user set wins
     script = f"""if True:
         import os, sys
         import thermofit.cli as cli
         threads, forks, fork = len(os.listdir({TASKS!r})), [], os.fork
         os.fork = lambda: forks.append(None) or fork()
         code = cli.main(sys.argv[1:])
-        print(code, threads, len(forks), file=sys.stderr)
+        blas = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+        print(code, threads, len(forks), blas, file=sys.stderr)
     """
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(sys.path))
-    argv = ["pipeline", "--rate", "1", "--duration", str(FORK - 1), "--window", "0",
-            "--output", str(tmp_path / "d")]
-    err = subprocess.run([sys.executable, "-c", script, *argv], env=env,
-                         capture_output=True, text=True, check=True).stderr
-    code, threads, forked = map(int, err.split()[-3:])
-    assert code == 0
-    assert forked == (1 if threads == 1 else 0), threads  # one write of all three files
-    for name in ("raw.csv", "smoothed.csv", "overlay.csv"):
-        assert len((tmp_path / "d" / name).read_bytes().splitlines()) == 1 + FORK, name
+    unset = {k: v for k, v in os.environ.items()
+             if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    pinned = dict(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    cases = ((pinned, "1"), ({}, "1"), ({"OPENBLAS_NUM_THREADS": "2"}, "2"),
+             ({"OMP_NUM_THREADS": "2"}, "unset"))
+    for i, (extra, blas) in enumerate(cases):
+        out = tmp_path / str(i)
+        env = dict(unset, **extra, PYTHONPATH=os.pathsep.join(sys.path))
+        argv = ["pipeline", "--rate", "1", "--duration", str(FORK - 1), "--window", "0",
+                "--output", str(out)]
+        err = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                             capture_output=True, text=True, check=True).stderr
+        code, threads, forked, seen = err.split()[-4:]
+        assert (code, seen) == ("0", blas), extra
+        # one write of all three files
+        assert int(forked) == (1 if threads == "1" else 0), (extra, threads)
+        for name in ("raw.csv", "smoothed.csv", "overlay.csv"):
+            assert len((out / name).read_bytes().splitlines()) == 1 + FORK, name
 
 
 # ----------------------------------------------------------------------- cli
@@ -727,7 +740,8 @@ def test_fit_command_on_three_rows_reports_no_uncertainty(tmp_path, capsys):
 
 def test_fit_command_on_a_record_of_one_value_reports_no_resolution(tmp_path, capsys):
     # smoothing leaves ulp-level spread, so R^2 is defined; the raw record has
-    # no gap between distinct values, and the range check keeps its old slack
+    # no gap between distinct values, and the fitted ends, a few ulps off
+    # 25.3, stay within the range check's slack of 1e-12 of the magnitude
     raw = tmp_path / "c.csv"
     raw.write_text("time_s,temp_c\n" + "".join(f"{0.5 * i!r},25.3\n" for i in range(40)))
     code = run_cli("fit", "--input", str(raw), "--p0", "30", "25", "0.1",
@@ -735,6 +749,7 @@ def test_fit_command_on_a_record_of_one_value_reports_no_resolution(tmp_path, ca
     assert code == 0
     report = strict_json(capsys.readouterr().out)
     assert "resolution" in report and report["resolution"] is None
+    assert not [w for w in report["warnings"] if "outside the data range" in w]
 
 
 def test_fit_command_starting_override_requires_all_three(tmp_path, capsys):

@@ -23,9 +23,11 @@ Proves, among others:
    anywhere in 1e-300..1e300 and at tau = Ts = 1e308;
  - ``DiscreteModel`` itself rejects what is not a first-order realization:
    another shape, a NaN tap, an infinite ``den[1]`` or sample time, a pole
-   of exactly 1 and a DC gain that overflows;
+   of exactly 1, a DC gain that overflows and a delay that is negative,
+   NaN, infinite or fractional;
  - the difference-equation simulator against a hand-iterated recurrence,
-   the delay-equals-shift identity, and a delay longer than the input;
+   the delay-equals-shift identity (for a delay given as an int, a whole
+   float and a NumPy integer), and a delay longer than the input;
  - both simulators against their per-sample recurrences (the difference
    equation, and RK4's four stages of the ODE);
  - RK4 against the closed-form solution of the linear ODE, and its
@@ -414,8 +416,11 @@ def test_discrete_model_invariants():
         DiscreteModel(num=(0.1,), den=(2.0, -0.9), sample_time=1.0)
     with pytest.raises(InvalidParameterError):
         DiscreteModel(num=(0.1,), den=(1.0, -0.9), sample_time=0.0)
-    with pytest.raises(InvalidParameterError):
-        DiscreteModel(num=(0.1,), den=(1.0, -0.9), sample_time=1.0, delay_samples=-1)
+    # a delay is a non-negative whole number of samples
+    for delay in (-1, np.nan, np.inf, 1.5):
+        with pytest.raises(InvalidParameterError, match="^delay_samples must be"):
+            DiscreteModel(num=(0.1,), den=(1.0, -0.9), sample_time=1.0,
+                          delay_samples=delay)
     # only first order: two den and one or two num coefficients
     for num, den in (
         ((0.1,), (1.0,)),
@@ -460,14 +465,14 @@ def test_simulate_discrete_delay_equals_input_shift():
     rng = np.random.Generator(np.random.Philox(11))
     u = rng.normal(0.0, 1.0, 60)
     base = discretize(ProcessParams(2.0, 8.0, 0.0), "tustin", 0.5)
-    delayed = DiscreteModel(
-        num=base.num, den=base.den, sample_time=base.sample_time, delay_samples=5
-    )
-    shifted = np.zeros_like(u)
-    shifted[5:] = u[:-5]
-    np.testing.assert_array_equal(
-        simulate_discrete(delayed, u, 1.0), simulate_discrete(base, shifted, 1.0)
-    )
+    # a whole number of samples given as a float or a NumPy integer works too
+    for delay, k in ((5, 5), (2.0, 2), (np.int64(2), 2)):
+        delayed = dataclasses.replace(base, delay_samples=delay)
+        shifted = np.zeros_like(u)
+        shifted[k:] = u[:-k]
+        np.testing.assert_array_equal(
+            simulate_discrete(delayed, u, 1.0), simulate_discrete(base, shifted, 1.0)
+        )
 
 
 def test_simulate_discrete_delay_longer_than_the_input():

@@ -3,6 +3,9 @@
 Proves:
  - ``thermofit.__all__`` is the modules' ``__all__`` lists joined, without
    duplicates, and each name is the object its defining module binds;
+ - ``import thermofit`` in a fresh interpreter loads neither NumPy nor a
+   submodule; ``thermofit.io`` then resolves without an explicit import, and
+   ``from thermofit import *`` binds exactly ``thermofit.__all__``;
  - every public class and function a module defines is in its ``__all__``;
  - the CLI's ``--lambda0``, ``--max-iter`` and ``--tol-grad`` options of
    ``fit`` and ``pipeline`` are exactly ``LMConfig``'s fields, with its
@@ -14,6 +17,8 @@ Proves:
 
 import dataclasses
 import inspect
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -36,6 +41,22 @@ def test_package_names_are_the_module_objects():
     for module in MODULES:
         for name in module.__all__:
             assert getattr(thermofit, name) is getattr(module, name), name
+
+
+def test_import_loads_the_modules_on_first_use():
+    script = """if True:
+        import sys
+        import thermofit
+        early = [m for m in sys.modules if m.startswith(("numpy", "thermofit."))]
+        assert not early, early
+        assert thermofit.io.parse_csv is sys.modules["thermofit.io"].parse_csv
+        namespace = {}
+        exec("from thermofit import *", namespace)
+        names = thermofit.__all__
+        assert sorted(namespace.keys() - {"__builtins__"}) == sorted(names), names
+    """
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", script], env=env, check=True)
 
 
 def test_modules_declare_every_public_definition():
