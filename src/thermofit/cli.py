@@ -8,8 +8,8 @@ fit         identify (a, b, c) and process parameters from a CSV
 discretize  print the discrete-time realization of a first-order process
 pipeline    simulate -> smooth -> fit -> write CSVs -> re-read, as a self-test
 
-Exit codes: 0 success, 2 usage error, 3 file-system/CSV errors, 4 invalid
-data or configuration, 5 numerical failure.
+Exit codes: 0 success, 2 usage, 3 file/CSV errors and a stdout that cannot be
+written (a closed pipe), 4 invalid data or configuration, 5 numerical failure.
 """
 
 from __future__ import annotations
@@ -38,11 +38,6 @@ from .pipeline import FitReport, TimeSeries, fit_series
 from .sgolay import SGConfig, sg_smooth
 from .solver import LMConfig
 from .synth import SynthSpec, generate
-
-EXIT_OK = 0
-EXIT_IO = 3
-EXIT_DATA = 4
-EXIT_NUMERIC = 5
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -242,9 +237,9 @@ def _cmd_pipeline(args) -> dict:
 
 # The first match wins, so the subclasses of ThermofitError come before it.
 _EXIT_CODES = (
-    ((OSError, CsvFormatError, NonUniformSamplingError), EXIT_IO),
-    ((SingularEquationsError,), EXIT_NUMERIC),
-    ((ThermofitError,), EXIT_DATA),
+    ((OSError, CsvFormatError, NonUniformSamplingError), 3),
+    ((SingularEquationsError,), 5),
+    ((ThermofitError,), 4),
 )
 _HANDLED = tuple(cls for classes, _ in _EXIT_CODES for cls in classes)
 
@@ -253,13 +248,18 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         report = args.handler(args)  # None from the commands that only write files
-        if report is not None:
-            print(_render(report, args.format))
+        if report is not None:  # flushed here, so a closed stdout exits 3
+            print(_render(report, args.format), flush=True)
     except _HANDLED as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)  # line-buffered, so run() loses none
         return next(code for classes, code in _EXIT_CODES if isinstance(exc, classes))
-    return EXIT_OK
+    return 0
+
+
+def run():
+    """The ``thermofit`` command: exit with ``main``'s code, skipping teardown."""
+    os._exit(main())
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

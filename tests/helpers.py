@@ -1,11 +1,20 @@
 """Shared test models for exercising the solver, the profile reference
 for where the exponential fit stops, the standard errors of a fit, the
-per-sample reference of the simulators' recurrence, and the
-projection-matrix reference of the Savitzky-Golay smoother."""
+per-sample reference of the simulators' recurrence, the
+projection-matrix reference of the Savitzky-Golay smoother, and a corpus
+of records as temperature loggers write them."""
 
 import numpy as np
 
-from thermofit import ResidualModel, SGConfig, sg_projection
+from thermofit import (
+    FitParams,
+    ResidualModel,
+    SGConfig,
+    SynthSpec,
+    generate,
+    sg_projection,
+    step_response,
+)
 
 
 class LinearModel(ResidualModel):
@@ -144,3 +153,70 @@ def projection_smooth(data, cfg: SGConfig) -> np.ndarray:
     out[:m] = b[:m] @ y[:w]
     out[n - m :] = b[m + 1 :] @ y[n - w :]
     return out
+
+
+# ------------------------------------------------------------ logger records
+
+LOGGER_TRUTH = FitParams(30.0, 25.0, 0.01)
+
+
+def _csv(t, y) -> str:
+    rows = (f"{ti!r},{yi!r}\n" for ti, yi in zip(t.tolist(), y.tolist()))
+    return "time_s,temp_c\n" + "".join(rows)
+
+
+def _one_sample(y, value):
+    y = y.copy()
+    y[y.size // 2] = value
+    return y
+
+
+def _ar1(t, y, rho):
+    """The record's white noise turned into AR(1) noise of the same spread:
+    ``e[i+1] = rho e[i] + sqrt(1 - rho^2) w[i]``, started at ``e[0] = w[0]``."""
+    clean = step_response(LOGGER_TRUTH, t)
+    w = y - clean
+    return clean + sequential_recurrence(rho - 1.0, np.sqrt(1 - rho**2) * w[1:], w[0])
+
+
+def _dead_time(t, y, delay):
+    """The step moved ``delay`` seconds later, the record holding ``a`` until then."""
+    return y - step_response(LOGGER_TRUTH, t) + step_response(
+        LOGGER_TRUTH, np.maximum(t - delay, 0.0))
+
+
+# Each takes the times and temperatures of the base record and returns CSV text.
+_LOGGER_EDITS = {
+    "clean": _csv,
+    "epoch-times": lambda t, y: _csv(t + 1.7e9, y),
+    "crlf-bom": lambda t, y: "\ufeff" + _csv(t, y).replace("\n", "\r\n"),
+    "7hz-ms-times": lambda t, y: _csv(np.round(t, 3), y),
+    "missing-row": lambda t, y: _csv(*(np.delete(v, v.size // 2) for v in (t, y))),
+    "nan": lambda t, y: _csv(t, _one_sample(y, np.nan)),
+    "printed-0.1": lambda t, y: _csv(t, np.round(y, 1)),
+    "printed-0.0625": lambda t, y: _csv(t, np.round(y / 0.0625) * 0.0625),
+    "spike-1e3": lambda t, y: _csv(t, _one_sample(y, 1e3)),
+    "cut-at-half-tau": lambda t, y: _csv(t[t <= 50.0], y[t <= 50.0]),
+    "dead-time-20s": lambda t, y: _csv(t, _dead_time(t, y, 20.0)),
+    "ar1-0.9": lambda t, y: _csv(t, _ar1(t, y, 0.9)),
+}
+LOGGER_RECORDS = (*_LOGGER_EDITS, "seed-64")
+
+
+def logger_record(kind: str, seed: int = 0) -> str:
+    """CSV text of the logger record ``kind`` (one of ``LOGGER_RECORDS``).
+
+    Each is ``generate`` of ``LOGGER_TRUTH`` (tau = 100 s) at 10 Hz for 300 s
+    with noise sigma 0.05 and ``seed``, with one defect a logger brings: epoch
+    times, CRLF line ends after a byte-order mark, 7 Hz (generated at that rate)
+    with times printed to 1 ms, a missing row, a ``nan`` or a 1e3 degC sample in
+    the middle, temperatures printed to 0.1 or 0.0625 degC, a record cut at
+    half a time constant, 20 s of dead time, or AR(1) noise at rho 0.9.
+    ``seed-64`` is the record ``thermofit simulate --rate 10 --duration 100
+    --sigma 2 --seed 64`` writes, and takes no seed."""
+    if kind == "seed-64":
+        ts = generate(SynthSpec(LOGGER_TRUTH, 10.0, 100.0, 2.0, 64))
+        return _csv(ts.t, ts.y)
+    rate = 7.0 if kind == "7hz-ms-times" else 10.0
+    ts = generate(SynthSpec(LOGGER_TRUTH, rate, 300.0, 0.05, seed))
+    return _LOGGER_EDITS[kind](ts.t, ts.y)

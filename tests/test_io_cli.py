@@ -64,6 +64,12 @@ Proves:
    and no NumPy warning: ``fit`` exits 5 with and without ``--p0``,
    ``smooth`` exits 4, and a ``fit`` whose total sum of squares underflows
    exits 4;
+ - ``python -m thermofit.cli``, its stdout and stderr redirected to files,
+   gives the exit code, stdout and stderr of ``main`` in process for exits
+   0, 2, 3, 4 and 5; it and ``thermofit.cli.run()``, the installed script's
+   entry, print the same JSON as ``pipeline``'s ``report.json``; a stdout
+   whose pipe has no reader exits 3 with one ``error:`` line naming the
+   broken pipe, in either format, and no ``Exception ignored`` or traceback;
  - every ``thermofit`` line of README's CLI block runs and exits 0;
  - numeric options take negative numbers in scientific notation
    (``--gain -1e-3``, ``--b0 -2e1``);
@@ -621,6 +627,37 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def child_env():
+    """This interpreter's environment for a ``thermofit`` child that imports this
+    checkout and buffers its stdout as a user's run does (no PYTHONUNBUFFERED)."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return dict(env, PYTHONPATH=str(Path(thermofit.__file__).resolve().parents[1]))
+
+
+def command(tmp_path, *argv, run=False):
+    """Exit code, stdout and stderr of ``python -m thermofit.cli *argv`` in
+    ``tmp_path`` or, with ``run``, of a script that calls ``thermofit.cli.run()``
+    as the installed ``thermofit`` does.  Both streams go to files, so stdout is
+    buffered in blocks, as perfbench runs the command."""
+    launcher = (["-c", "import sys, thermofit.cli; sys.argv[0] = 'thermofit'; "
+                 "thermofit.cli.run()"] if run else ["-m", "thermofit.cli"])
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        code = subprocess.run([sys.executable, *launcher, *argv], cwd=tmp_path,
+                              env=child_env(), stdout=out, stderr=err).returncode
+        out.seek(0), err.seek(0)
+        return code, out.read().decode(), err.read().decode()
+
+
+def in_process(tmp_path, monkeypatch, capsys, *argv):
+    """What ``command`` returns, from ``main`` in this process."""
+    monkeypatch.chdir(tmp_path)
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # a usage error, from argparse
+        code = exc.code
+    return code, *capsys.readouterr()
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not RFC 8259 JSON")
 
@@ -793,10 +830,11 @@ def test_fit_command_checks_the_solver_settings_before_reading_the_file(
     (("fit", "--input", "tiny.csv", "--p0", "3e-199", "2.5e-199", "0.1"), 4,
      "total sum of squares underflows float64"),
 ], ids=["fit", "fit-p0", "smooth", "fit-tiny"])
-def test_record_near_the_float64_limit_exits_without_a_warning(tmp_path, argv, code,
-                                                               message):
+def test_record_near_the_float64_limit_exits_without_a_warning(
+        tmp_path, monkeypatch, capsys, argv, code, message):
     # finite records whose level means (fit) or SG sums (smooth) overflow, or
-    # whose squared spread, which R^2 divides by, underflows (fit-tiny)
+    # whose squared spread, which R^2 divides by, underflows (fit-tiny); the
+    # command and main in process end alike
     t = 0.5 * np.arange(40)
     big = 1e308 * (0.5 * np.exp(-0.1 * t) + 1)
     near_max = np.where(t < 2.5, 1.6e308, 1.7e308)
@@ -804,12 +842,50 @@ def test_record_near_the_float64_limit_exits_without_a_warning(tmp_path, argv, c
     write_csv(tmp_path / "big.csv", TimeSeries(t, big, 2.0))
     write_csv(tmp_path / "max.csv", TimeSeries(t, near_max, 2.0))
     write_csv(tmp_path / "tiny.csv", TimeSeries(t, tiny, 2.0))
-    src = str(Path(thermofit.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-m", "thermofit.cli", *argv], cwd=tmp_path,
-                          env=dict(os.environ, PYTHONPATH=src),
-                          capture_output=True, text=True)
-    assert proc.returncode == code
-    assert proc.stderr == f"error: {message}\n"
+    want = (code, "", f"error: {message}\n")
+    assert command(tmp_path, *argv) == want
+    assert in_process(tmp_path, monkeypatch, capsys, *argv) == want
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("discretize", "--gain", "2", "--tau", "10", "--method", "tustin", "--ts", "1"), 0),
+    (("fit",), 2),  # --input is required
+    (("fit", "--input", "absent.csv"), 3),
+], ids=["exit-0", "exit-2", "exit-3"])
+def test_the_command_ends_as_main_returns(tmp_path, monkeypatch, capsys, argv, code):
+    # exits 4 and 5: test_record_near_the_float64_limit_exits_without_a_warning
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage to this width
+    want = in_process(tmp_path, monkeypatch, capsys, *argv)
+    assert want[0] == code
+    assert command(tmp_path, *argv) == want
+
+
+@pytest.mark.parametrize("run", [False, True], ids=["module", "run"])
+def test_the_command_prints_the_report_it_writes(tmp_path, run):
+    code, out, err = command(tmp_path, "pipeline", "--output", "d", "--format", "json",
+                             run=run)
+    assert (code, err) == (0, "")
+    assert out == (tmp_path / "d" / "report.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_closed_stdout_exits_3(fmt):
+    # a pipe whose reader has gone, as in ``thermofit ... | true``; main flushes
+    # the report, so the write fails inside it rather than in the teardown
+    argv = ["discretize", "--gain", "1", "--tau", "10", "--method", "tustin",
+            "--ts", "1", "--format", fmt]
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "thermofit.cli", *argv],
+                              env=child_env(), stdout=write, stderr=subprocess.PIPE,
+                              text=True)
+    finally:
+        os.close(write)
+    assert proc.returncode == 3
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: ") and "Broken pipe" in line
+    assert "Exception ignored" not in proc.stderr and "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("command", ["smooth", "fit"])
@@ -817,11 +893,9 @@ def test_overflowing_filter_design_exit_code(tmp_path, command):
     # a real process, so a NumPy warning would reach stderr as the user sees it
     raw = tmp_path / "raw.csv"
     assert run_cli("simulate", "--output", str(raw), "--duration", "30") == 0
-    src = str(Path(thermofit.__file__).resolve().parents[1])
     argv = [sys.executable, "-m", "thermofit.cli", command, "--input", str(raw),
             "--output", str(tmp_path / "out.csv"), "--window", "301", "--order", "299"]
-    proc = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=src),
-                          capture_output=True, text=True)
+    proc = subprocess.run(argv, env=child_env(), capture_output=True, text=True)
     assert proc.returncode == 4
     assert "numerically singular for order=299, window=301" in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
@@ -1241,13 +1315,11 @@ def test_pipeline_report_does_not_depend_on_output(tmp_path, capsys, argv):
 
 def test_pipeline_run_loads_neither_scipy_nor_numpy_ma(tmp_path):
     # io._median stands in for np.median, whose first call imports numpy.ma
-    src = str(Path(thermofit.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
     probe = ("import sys; from thermofit.cli import main; code = main(sys.argv[1:]); "
              "print(code, *(m in sys.modules for m in ('scipy', 'numpy.ma')), "
              "file=sys.stderr)")
     argv = ["pipeline", "--duration", "30", "--output", str(tmp_path / "d")]
-    err = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
+    err = subprocess.run([sys.executable, "-c", probe, *argv], env=child_env(),
                          capture_output=True, text=True, check=True).stderr
     assert err.strip() == "0 False False"
 

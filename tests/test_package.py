@@ -10,7 +10,8 @@ Proves:
  - the CLI's ``--lambda0``, ``--max-iter`` and ``--tol-grad`` options of
    ``fit`` and ``pipeline`` are exactly ``LMConfig``'s fields, with its
    defaults;
- - ``pyproject.toml`` takes the version from ``thermofit.__version__``;
+ - ``pyproject.toml`` takes the version from ``thermofit.__version__``, and
+   its ``thermofit`` script is ``thermofit.cli:run``;
  - ``src/thermofit/*.py`` holds at most 1660 lines, ROADMAP's ceiling, and
    none of them is over 90 characters.
 """
@@ -83,17 +84,26 @@ def test_lm_option_defaults_are_lm_config_defaults():
         ], argv
 
 
-@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in 3.11")
-def test_version_is_stated_once():
+def pyproject():
     import tomllib
 
-    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-    with pyproject.open("rb") as f:
-        config = tomllib.load(f)
+    with (Path(__file__).resolve().parents[1] / "pyproject.toml").open("rb") as f:
+        return tomllib.load(f)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in 3.11")
+def test_version_is_stated_once():
+    config = pyproject()
     assert "version" not in config["project"]
     assert config["project"]["dynamic"] == ["version"]
     dynamic = config["tool"]["setuptools"]["dynamic"]
     assert dynamic["version"] == {"attr": "thermofit.__version__"}
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in 3.11")
+def test_the_script_ends_through_run():
+    # run, not main: it exits without the interpreter's teardown
+    assert pyproject()["project"]["scripts"] == {"thermofit": "thermofit.cli:run"}
 
 
 def test_source_stays_under_the_line_ceiling():
