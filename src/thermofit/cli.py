@@ -12,8 +12,6 @@ Exit codes: 0 success, 2 usage, 3 file/CSV errors and a stdout that cannot be
 written (a closed pipe), 4 invalid data or configuration, 5 numerical failure.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import os

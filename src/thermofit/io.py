@@ -9,8 +9,6 @@ decimal fields (values survive a write/read round trip exactly, forked or not):
   plotting.
 """
 
-from __future__ import annotations
-
 import math
 import os
 import signal

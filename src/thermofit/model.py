@@ -17,8 +17,6 @@ continuous process into discrete-time difference equations.
 Units are degrees Celsius and seconds throughout.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -38,7 +36,6 @@ __all__ = [
     "process_to_fit",
     "fit_to_process",
     "step_response",
-    "step_response_jacobian",
     "ExponentialStepModel",
     "discretize",
     "simulate_discrete",
@@ -235,29 +232,25 @@ def step_response(f: FitParams, t):
     return float(y) if y.ndim == 0 else y
 
 
-@np.errstate(over="ignore")
-def step_response_jacobian(t, p):
-    """Partial derivatives of the step-response model with respect to
-    (a, b, c): ``(exp(-ct), 1 - exp(-ct), -t (a - b) exp(-ct))``.
-
-    ``t`` (>= 0, seconds) may be a scalar or array; returns shape (..., 3).
-    """
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0):
-        raise InvalidParameterError("step_response_jacobian requires t >= 0")
-    a, b, c = np.asarray(p, dtype=float)
-    e = np.exp(-c * t_arr)
-    return np.stack([e, 1.0 - e, -t_arr * (a - b) * e], axis=-1)
-
-
 class ExponentialStepModel(ResidualModel):
     """The solver binding of :func:`step_response` and its Jacobian, p = (a, b, c)."""
 
     def predict(self, t, p):
         return step_response(FitParams(*p), t)
 
+    @np.errstate(over="ignore")
     def jacobian_row(self, t, p):
-        return step_response_jacobian(t, p)
+        """Partial derivatives of the step-response model with respect to
+        (a, b, c): ``(exp(-ct), 1 - exp(-ct), -t (a - b) exp(-ct))``.
+
+        ``t`` (>= 0, seconds) may be a scalar or array; returns shape (..., 3).
+        """
+        t_arr = np.asarray(t, dtype=float)
+        if np.any(t_arr < 0):
+            raise InvalidParameterError("the step-response Jacobian requires t >= 0")
+        a, b, c = np.asarray(p, dtype=float)
+        e = np.exp(-c * t_arr)
+        return np.stack([e, 1.0 - e, -t_arr * (a - b) * e], axis=-1)
 
 
 def discretize(p: ProcessParams, method: str, sample_time: float) -> DiscreteModel:

@@ -15,8 +15,6 @@ and the first and last ``m`` samples read the polynomial fitted to the
 first/last full window, so the output has the input's length.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 
 import numpy as np

@@ -19,8 +19,6 @@ The solver works on bare parameter vectors and enforces no bounds; callers
 validate domain invariants on the final result.
 """
 
-from __future__ import annotations
-
 import abc
 from dataclasses import dataclass, field
 
@@ -166,21 +164,6 @@ def _solve_damped(a: np.ndarray, g: np.ndarray, lam: float) -> np.ndarray:
     return h
 
 
-def _validate_data(t, y, weights, n_params):
-    t = np.asarray(t, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if t.ndim != 1 or y.shape != t.shape:
-        raise DataLengthError("t and y must be 1-d arrays of equal length")
-    if t.size < n_params:
-        raise DataLengthError(
-            f"need at least as many points ({t.size}) as parameters ({n_params})"
-        )
-    w = np.ones(t.size) if weights is None else weights.values
-    if w.size != t.size:
-        raise DataLengthError("weights length must match the data")
-    return t, y, w
-
-
 @np.errstate(over="ignore", invalid="ignore")  # overflow is raised or rejected
 def lm_fit(
     model: ResidualModel,
@@ -210,7 +193,17 @@ def lm_fit(
     p = np.asarray(p0, dtype=float).copy()
     if not np.all(np.isfinite(p)):
         raise InvalidParameterError("initial parameters must be finite")
-    t, y, w = _validate_data(t, y, weights, p.size)
+    t = np.asarray(t, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if t.ndim != 1 or y.shape != t.shape:
+        raise DataLengthError("t and y must be 1-d arrays of equal length")
+    if t.size < p.size:
+        raise DataLengthError(
+            f"need at least as many points ({t.size}) as parameters ({p.size})"
+        )
+    w = np.ones(t.size) if weights is None else weights.values
+    if w.size != t.size:
+        raise DataLengthError("weights length must match the data")
 
     r = y - np.asarray(model.predict(t, p), dtype=float)
     cost = float(np.sum(w * r * r))

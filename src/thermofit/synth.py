@@ -7,8 +7,6 @@ seed, so identical specs produce bitwise-identical series on any platform
 or thread layout.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 
 import numpy as np

@@ -12,10 +12,12 @@ Proves:
    defaults;
  - ``pyproject.toml`` takes the version from ``thermofit.__version__``, and
    its ``thermofit`` script is ``thermofit.cli:run``;
+ - every module parses with the grammar of the ``requires-python`` floor;
  - ``src/thermofit/*.py`` holds at most 1660 lines, ROADMAP's ceiling, and
    none of them is over 90 characters.
 """
 
+import ast
 import dataclasses
 import inspect
 import os
@@ -104,6 +106,18 @@ def test_version_is_stated_once():
 def test_the_script_ends_through_run():
     # run, not main: it exits without the interpreter's teardown
     assert pyproject()["project"]["scripts"] == {"thermofit": "thermofit.cli:run"}
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in 3.11")
+def test_source_parses_at_the_declared_python_floor():
+    # the tests run on a newer Python, which would accept syntax the floor
+    # rejects, such as except* (3.11)
+    floor = pyproject()["project"]["requires-python"]
+    assert floor.startswith(">=")
+    version = tuple(int(part) for part in floor[2:].split("."))
+    src = Path(__file__).resolve().parents[1] / "src" / "thermofit"
+    for path in sorted(src.glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), path.name, feature_version=version)
 
 
 def test_source_stays_under_the_line_ceiling():

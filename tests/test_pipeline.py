@@ -4,10 +4,12 @@ fit statistics and the end-to-end fit.
 Proves:
  - TimeSeries invariants (length, finite values, a time span, a rate and
    1/rate finite in float64, monotone time, uniform spacing with a
-   tolerance that admits epoch timestamps, immutability);
- - the analytic Jacobian at its boundary values and against central
-   finite differences over random draws, and that the solver model
-   evaluates through ``step_response`` and ``step_response_jacobian``;
+   tolerance that admits 1% logger jitter and epoch timestamps and an error
+   that names the worst gap, immutability);
+ - the analytic Jacobian, ``ExponentialStepModel.jacobian_row``, at its
+   boundary values and against central finite differences over random
+   draws, and that the solver model predicts through ``step_response`` and
+   rejects negative times in both methods;
  - starting-value quality on clean falling and rising curves, the
    no-crossing fallback, and the flat-series rejection;
  - R-squared point values and its rejection of a constant input and of one
@@ -69,7 +71,6 @@ from thermofit import (
     r_squared,
     sg_smooth,
     step_response,
-    step_response_jacobian,
 )
 from thermofit.pipeline import ExponentialStepModel
 
@@ -113,8 +114,16 @@ def test_time_series_requires_strictly_increasing_time():
 
 def test_time_series_rejects_nonuniform_spacing():
     t = np.array([0.0, 0.01, 0.021])  # second gap 5% long
-    with pytest.raises(NonUniformSamplingError):
+    with pytest.raises(NonUniformSamplingError, match="between t = 0.01 and t = 0.021$"):
         TimeSeries(t, np.zeros(3), 100.0)
+
+
+def test_time_series_accepts_logger_jitter_up_to_one_percent():
+    t = np.array([0.0, 0.01, 0.02009, 0.03])  # gaps 0.9% long and short
+    assert TimeSeries(t, np.zeros(4), 100.0).n == 4
+    t[2] = 0.02011
+    with pytest.raises(NonUniformSamplingError, match="1.100e-02 relative"):
+        TimeSeries(t, np.zeros(4), 100.0)
 
 
 def test_time_series_rejects_non_finite_values():
@@ -163,17 +172,18 @@ def test_time_series_arrays_are_frozen_copies():
 
 def test_jacobian_at_time_zero():
     np.testing.assert_allclose(
-        step_response_jacobian(0.0, [30.0, 25.0, 0.01]), [1.0, 0.0, 0.0], atol=1e-15
+        ExponentialStepModel().jacobian_row(0.0, [30.0, 25.0, 0.01]), [1.0, 0.0, 0.0],
+        atol=1e-15
     )
 
 
 def test_jacobian_in_the_decay_limit():
-    row = step_response_jacobian(1e6, [30.0, 25.0, 0.01])
+    row = ExponentialStepModel().jacobian_row(1e6, [30.0, 25.0, 0.01])
     np.testing.assert_allclose(row, [0.0, 1.0, 0.0], atol=1e-12)
 
 
 def test_jacobian_closed_form_point():
-    row = step_response_jacobian(100.0, [30.0, 25.0, 0.01])
+    row = ExponentialStepModel().jacobian_row(100.0, [30.0, 25.0, 0.01])
     e = np.exp(-1.0)
     np.testing.assert_allclose(row, [e, 1.0 - e, -500.0 * e], rtol=1e-12)
     np.testing.assert_allclose(
@@ -183,7 +193,7 @@ def test_jacobian_closed_form_point():
 
 def test_jacobian_rejects_negative_time():
     with pytest.raises(InvalidParameterError):
-        step_response_jacobian(-1.0, [30.0, 25.0, 0.01])
+        ExponentialStepModel().jacobian_row(-1.0, [30.0, 25.0, 0.01])
 
 
 def test_solver_model_is_step_response_and_its_jacobian():
@@ -191,7 +201,6 @@ def test_solver_model_is_step_response_and_its_jacobian():
     t = np.linspace(0.0, 500.0, 11)
     p = np.array([30.0, 25.0, 0.01])
     np.testing.assert_array_equal(model.predict(t, p), step_response(FitParams(*p), t))
-    np.testing.assert_array_equal(model.jacobian_row(t, p), step_response_jacobian(t, p))
     for method in (model.predict, model.jacobian_row):
         with pytest.raises(InvalidParameterError, match="t >= 0"):
             method(np.array([-1.0, 0.0]), p)
