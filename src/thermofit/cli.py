@@ -1,12 +1,4 @@
-"""Command-line front end.
-
-Commands
---------
-simulate    generate a synthetic noisy step-response CSV
-smooth      Savitzky-Golay smooth a measured CSV
-fit         identify (a, b, c) and process parameters from a CSV
-discretize  print the discrete-time realization of a first-order process
-pipeline    simulate -> smooth -> fit -> write CSVs -> re-read, as a self-test
+"""Command-line front end; ``build_parser`` declares the commands.
 
 Exit codes: 0 success, 2 usage, 3 file/CSV errors and a stdout that cannot be
 written (a closed pipe), 4 invalid data or configuration, 5 numerical failure.
@@ -87,9 +79,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format_opt(pipe)
     pipe.set_defaults(handler=_cmd_pipeline)
 
-    # argparse reads "-1e-3" as an option; no option of ours looks like a number
+    # argparse reads "-1e-3" or "-inf" as an option; no option of ours looks like a number
     for p in (parser, *sub.choices.values()):
-        p._negative_number_matcher = re.compile(r"^-\.?\d")
+        p._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
     return parser
 
 

@@ -28,8 +28,8 @@ class InvalidParameterError(ThermofitError):
 
 
 class UnstableDiscretizationError(ThermofitError):
-    """A fixed-step method would not settle: forward discretization at
-    sample_time >= 2 * tau, or an RK4 step beyond about 2.785 * tau."""
+    """A fixed-step method would not settle at the sample time asked for;
+    ``discretize`` and ``simulate_continuous`` state their limits."""
 
 
 class FilterConfigError(ThermofitError):
@@ -46,7 +46,8 @@ class FlatSeriesError(ThermofitError):
 
 
 class SingularEquationsError(ThermofitError):
-    """The damped normal equations are singular or indefinite."""
+    """The damped normal equations are singular or indefinite, or a level, cost
+    or fit overflows float64."""
 
 
 class CsvFormatError(ThermofitError):

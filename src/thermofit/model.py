@@ -9,10 +9,7 @@ whose unit-step response is the three-parameter exponential
 
     f(t) = (a - b) * exp(-c * t) + b
 
-with ``a = f(0)``, ``b = f(infinity)`` and ``c = 1 / tau``.  This module
-holds the parameter containers, the governing ODE, the closed-form step
-response with its Jacobian and solver binding, and the conversion of the
-continuous process into discrete-time difference equations.
+with ``a = f(0)``, ``b = f(infinity)`` and ``c = 1 / tau``.
 
 Units are degrees Celsius and seconds throughout.
 """
@@ -265,10 +262,10 @@ def discretize(p: ProcessParams, method: str, sample_time: float) -> DiscreteMod
         g = K / (rho + theta),  pole = (rho - (1 - theta)) / (rho + theta)
 
     and backward drops its zero ``u[n-1]`` tap.  Dead time becomes an integer
-    input delay of ``round(dead_time / Ts)`` samples.  Forward is rejected
-    when ``rho <= 0.5`` (``Ts >= 2 tau``), where its pole leaves the unit
-    circle; every method rejects a pole that rounds to 1 and a ``rho``,
-    ``dc_gain`` or delay that overflows float64.
+    input delay of ``round(dead_time / Ts)`` samples, rejected when it
+    overflows float64.  Forward is rejected when ``rho <= 0.5``
+    (``Ts >= 2 tau``), where its pole leaves the unit circle; ``DiscreteModel``
+    states what else a realization needs.
     """
     if not 0 < sample_time < np.inf:
         raise InvalidParameterError("sample_time must be finite and positive")

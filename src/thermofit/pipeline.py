@@ -3,10 +3,6 @@
 Fits the exponential step-response model (``model.ExponentialStepModel``)
 to a measured record: optional smoothing, data-driven starting values, the
 solver run, fit statistics and the conversion back to process parameters.
-
-When smoothing is requested the smoothed series is the fitting target and
-the reference for R-squared, mirroring how slow thermal runs are analyzed
-in practice (the raw series stays available to callers for overlays).
 """
 
 import math
@@ -143,12 +139,12 @@ def r_squared(y, yhat) -> float:
 class FitReport:
     """Everything a fit run produced.
 
-    ``process`` is None, with a warning, whenever ``fit_to_process`` rejects
-    the fit: a ``c <= 0``, or a ``1/c`` or ``a/c`` beyond float64.
-    ``target`` is the series that was fitted: the smoothed series when
-    smoothing was applied, the raw one otherwise (read-only).  ``r_squared``
-    is measured against it and may be negative for fits worse than the mean
-    predictor, which is flagged too.  ``fitted`` is the fit at each sample,
+    ``process`` is None whenever ``fit_to_process`` rejects the fit.
+    ``target`` is the series that was fitted and the reference of ``r_squared``:
+    the smoothed series when smoothing was applied, as slow thermal runs are
+    analyzed in practice, the raw one otherwise (read-only; the raw series stays
+    with the caller for overlays).  ``r_squared`` may be negative for fits worse
+    than the mean predictor.  ``fitted`` is the fit at each sample,
     ``step_response(fit, t - t[0])`` (read-only).  ``stats`` holds ``dfe``
     (n - 3), ``sse`` and ``rmse = sqrt(sse / dfe)`` of the raw record, weighted
     as the fit, and the standard errors ``se`` of ``(a, b, c)`` with their
@@ -182,12 +178,12 @@ def fit_series(
     The fit runs on elapsed time ``ts.t - ts.t[0]``, so ``a`` is the value
     at the first sample whatever the clock's origin.  ``p0`` overrides the
     data-driven starting values.  Warnings flag a window larger than half
-    the series, a fit that ``fit_to_process`` rejects (``process`` is then
-    None), an iteration-capped solver run, a negative R-squared, a fitted
-    curve that leaves the range of the raw data and a standard error of ``c``
-    over 10% of ``|c|``; none of them aborts the run.  Raises
-    SingularEquationsError when the fit is not finite in float64, which values
-    near 1e154 (whose squares overflow) bring about.
+    the series, a fit that ``fit_to_process`` rejects, an iteration-capped
+    solver run, a negative R-squared, a fitted curve that leaves the range of
+    the raw data and a standard error of ``c`` over 10% of ``|c|``; none of
+    them aborts the run.  Raises SingularEquationsError when the fit is not
+    finite in float64, which values near 1e154 (whose squares overflow) bring
+    about.
     """
     warnings: list[str] = []
     t = ts.t - ts.t[0]

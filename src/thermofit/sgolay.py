@@ -7,12 +7,7 @@ onto polynomials of degree <= order, where ``V`` is the Vandermonde matrix
 of the centred abscissas ``-m .. m``.  ``B = Q Q^T`` with ``Q`` (window x
 (order + 1)) from a QR factorization of ``V``, which stays well
 conditioned at the large windows used for slow thermal data (order 3,
-window 901).
-
-The smoother never forms ``B``, so its memory grows linearly with the
-window: interior samples are correlated with the central row ``Q Q[m]``,
-and the first and last ``m`` samples read the polynomial fitted to the
-first/last full window, so the output has the input's length.
+window 901).  ``sg_smooth`` states how interior and edge samples are made.
 """
 
 from dataclasses import dataclass
@@ -76,9 +71,10 @@ def sg_smooth(data, cfg: SGConfig) -> np.ndarray:
     """Smooth a 1-d sequence; output length equals input length.
 
     Interior samples are the correlation of the data with the central row
-    of the projection; the first and last ``window // 2`` samples evaluate
-    the polynomial fitted to the first/last full window (polynomial edge
-    treatment).  Requires at least ``window`` samples.  An output beyond
+    ``Q Q[m]`` of the projection, which is never formed, so memory grows
+    linearly with the window; the first and last ``m = window // 2`` samples
+    evaluate the polynomial fitted to the first/last full window (polynomial
+    edge treatment).  Requires at least ``window`` samples.  An output beyond
     float64 comes back non-finite, without a warning; ``TimeSeries``
     rejects it.
     """

@@ -176,16 +176,15 @@ def lm_fit(
 ) -> FitResult:
     """Iterate damped steps from ``p0`` until a tolerance or the cap fires.
 
-    A step is accepted only when it strictly decreases the weighted cost,
-    which lowers the damping; a rejection raises it (to at most the largest
-    finite float) and re-solves the step at the same point, reusing the
-    already-computed J, J^T W J and J^T W r.  The sequence of accepted costs
-    is therefore strictly decreasing.  The run stops on the gradient test
-    or the step test (1e-10), as in Madsen, Nielsen & Tingleff
-    (2004, Alg. 3.16); the step test applies to rejected steps too, so a run
-    whose every step is rejected at the floating-point floor still stops.
-    Non-convergence is reported through ``converged``, never raised.  Data
-    whose cost or normal matrix overflows float64 raise SingularEquationsError.
+    Steps are accepted and damped as the module docstring states; the damping
+    stops at the largest finite float, and a rejected step is re-solved at the
+    same point from the already-computed J, J^T W J and J^T W r.  The run
+    stops on the tests that ``FitResult.converged`` names, as in Madsen,
+    Nielsen & Tingleff (2004, Alg. 3.16); the step test applies to rejected
+    steps too, so a run whose every step is rejected at the floating-point
+    floor still stops.  Non-convergence is reported through ``converged``,
+    never raised.  Data whose cost or normal matrix overflows float64 raise
+    SingularEquationsError.
 
     ``callback``, when given, is invoked as ``callback(k, p, cost, lam)``
     after each accepted step ``k`` (1-based).

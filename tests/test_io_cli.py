@@ -72,7 +72,9 @@ Proves:
    broken pipe, in either format, and no ``Exception ignored`` or traceback;
  - every ``thermofit`` line of README's CLI block runs and exits 0;
  - numeric options take negative numbers in scientific notation
-   (``--gain -1e-3``, ``--b0 -2e1``);
+   (``--gain -1e-3``, ``--b0 -2e1``), and ``-inf``, ``-Infinity`` and ``-nan``
+   as numbers that exit 4 with the parameter's own message, written as
+   ``--opt VALUE`` or ``--opt=VALUE``;
  - ``--seed`` alone sets the seed (a ``THERMOFIT_SEED`` in the environment
    changes no byte), and ``fit`` fits unweighted: ``--sigma`` is a usage
    error there;
@@ -1101,17 +1103,36 @@ def test_discretize_extreme_but_representable_exit_code(capsys, method, tau, ts,
     assert d["dc_gain"] == pytest.approx(1.0, rel=1e-15)
 
 
-@pytest.mark.parametrize("argv", [
-    ("discretize", "--gain", "-1e-3", "--tau", "10", "--ts", "1",
-     "--method", "tustin"),
-    ("simulate", "--b0", "-2e1", "--sigma", "0"),
-    ("pipeline", "--b0", "-2e1", "--window", "0"),
-], ids=["discretize-gain", "simulate-b0", "pipeline-b0"])
-def test_negative_scientific_notation_is_a_number(tmp_path, capsys, argv):
-    # argparse's own negative-number pattern has no exponent: with it, "-1e-3"
-    # is taken for an option and the command exits 2
+_DISCRETIZE = ("--tau", "10", "--ts", "1", "--method", "tustin")
+_NON_FINITE = ("-inf", "-Infinity", "-nan")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("discretize", "--gain", "-1e-3", *_DISCRETIZE), None),
+    (("simulate", "--b0", "-2e1", "--sigma", "0"), None),
+    (("pipeline", "--b0", "-2e1", "--window", "0"), None),
+    *((("simulate", "--a0", v), "a must be finite") for v in _NON_FINITE),
+    *((("fit", "--p0", v, "25", "0.01"), "a must be finite") for v in _NON_FINITE),
+    *((("discretize", "--gain", v, *_DISCRETIZE), "gain must be finite")
+      for v in _NON_FINITE),
+], ids=["discretize-gain", "simulate-b0", "pipeline-b0",
+        *(f"{cmd}-{v}" for cmd in ("simulate-a0", "fit-p0", "discretize-gain")
+          for v in _NON_FINITE)])
+def test_negative_scientific_notation_is_a_number(tmp_path, capsys, argv, message):
+    # argparse's own negative-number pattern has no exponent, "inf" or "nan": with
+    # it, "-1e-3" or "-inf" is taken for an option and the command exits 2
     raw = tmp_path / "raw.csv"
-    output = ("--output", str(raw)) if argv[0] == "simulate" else ("--format", "json")
+    output = {"simulate": ("--output", str(raw)),
+              "fit": ("--input", str(raw))}.get(argv[0], ("--format", "json"))
+    if message is not None:  # read as a number, then rejected as not finite
+        command, option, value, *rest = argv
+        forms = [(option, value), (f"{option}={value}",)]
+        # --p0 takes three values, so it has no "=" form
+        for form in forms[:1] if command == "fit" else forms:
+            assert run_cli(command, *form, *rest, *output) == 4
+            assert capsys.readouterr().err == f"error: {message}\n"
+        assert not raw.exists()
+        return
     assert run_cli(*argv, *output) == 0
     if argv[0] == "simulate":
         assert parse_csv(raw).y[-1] == pytest.approx(-20 + 50 * np.exp(-3))
