@@ -87,11 +87,11 @@ def initial_guess(ts: TimeSeries) -> FitParams:
     """Data-driven starting values for the exponential fit.
 
     ``a0`` is the mean of the first 1% of samples (at least 5), ``b0`` the
-    mean of the last 5%.  ``c0 = 1 / t63`` where ``t63`` is the elapsed
-    time at which the series first crosses 63.21% of the (b0 - a0) span;
-    when no crossing exists, a third of the record length stands in for
-    the time constant.  Rejects flat series, which carry no step to fit,
-    and raises SingularEquationsError when a mean overflows float64.
+    mean of the last 5%.  ``c0 = 1 / (t[k] - t[0])`` where ``k`` counts the
+    samples short of 63.21% of the (b0 - a0) step, clamped to [1, n - 1]; on
+    a monotone record that is the first crossing, and noise cannot pull it
+    to the first samples.  Rejects flat series, which carry no step to fit,
+    and raises SingularEquationsError when the step overflows float64.
     """
     if ts.n < 10:
         raise DataLengthError("initial_guess needs at least 10 samples")
@@ -99,7 +99,7 @@ def initial_guess(ts: TimeSeries) -> FitParams:
     tail = max(1, ts.n // 20)
     a0 = float(np.mean(ts.y[:head]))
     b0 = float(np.mean(ts.y[-tail:]))
-    if not (math.isfinite(a0) and math.isfinite(b0)):
+    if not math.isfinite(b0 - a0):
         raise SingularEquationsError("start or end level overflows float64")
     if abs(b0 - a0) <= 1e-9:
         raise FlatSeriesError(
@@ -107,13 +107,9 @@ def initial_guess(ts: TimeSeries) -> FitParams:
         )
     threshold = a0 + _STEP_FRACTION * (b0 - a0)
     direction = 1.0 if b0 > a0 else -1.0
-    crossed = direction * (ts.y - threshold) >= 0
-    idx = int(np.argmax(crossed))
-    if crossed[idx] and idx > 0:
-        c0 = 1.0 / float(ts.t[idx] - ts.t[0])
-    else:
-        c0 = 3.0 / float(ts.t[-1] - ts.t[0])
-    return FitParams(a=a0, b=b0, c=c0)
+    k = int(np.count_nonzero(direction * (ts.y - threshold) < 0))
+    k = min(max(k, 1), ts.n - 1)  # rounding in a mean can put every sample on one side
+    return FitParams(a=a0, b=b0, c=1.0 / float(ts.t[k] - ts.t[0]))
 
 
 def r_squared(y, yhat) -> float:

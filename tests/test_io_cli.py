@@ -61,9 +61,10 @@ Proves:
    ``pipeline`` window or solver setting exits 4 before any file is
    written;
  - a finite record near the float64 limit fails with one ``error:`` line
-   and no NumPy warning: ``fit`` exits 5 with and without ``--p0``,
-   ``smooth`` exits 4, and a ``fit`` whose total sum of squares underflows
-   exits 4;
+   and no NumPy warning: ``fit`` exits 5 with and without ``--p0`` and on
+   finite levels whose step overflows, ``smooth`` exits 4, and a ``fit``
+   whose total sum of squares underflows exits 4, as does one of a constant
+   record whose level means round to every sample's one side of the 63% level;
  - ``python -m thermofit.cli``, its stdout and stderr redirected to files,
    gives the exit code, stdout and stderr of ``main`` in process for exits
    0, 2, 3, 4 and 5; it and ``thermofit.cli.run()``, the installed script's
@@ -831,12 +832,20 @@ def test_fit_command_checks_the_solver_settings_before_reading_the_file(
      "t and y must be finite"),
     (("fit", "--input", "tiny.csv", "--p0", "3e-199", "2.5e-199", "0.1"), 4,
      "total sum of squares underflows float64"),
-], ids=["fit", "fit-p0", "smooth", "fit-tiny"])
+    (("fit", "--input", "flat-10.csv"), 4,
+     "constant series has zero total sum of squares"),
+    (("fit", "--input", "flat-60.csv"), 4,
+     "constant series has zero total sum of squares"),
+    (("fit", "--input", "span.csv"), 5, "start or end level overflows float64"),
+], ids=["fit", "fit-p0", "smooth", "fit-tiny", "fit-flat-10", "fit-flat-60",
+        "fit-span"])
 def test_record_near_the_float64_limit_exits_without_a_warning(
         tmp_path, monkeypatch, capsys, argv, code, message):
     # finite records whose level means (fit) or SG sums (smooth) overflow, or
     # whose squared spread, which R^2 divides by, underflows (fit-tiny); the
-    # command and main in process end alike
+    # command and main in process end alike.  The constant records' level
+    # means round apart, so every sample lies before (flat-10) or past
+    # (flat-60) the 63% level; span's levels are finite but their step is not
     t = 0.5 * np.arange(40)
     big = 1e308 * (0.5 * np.exp(-0.1 * t) + 1)
     near_max = np.where(t < 2.5, 1.6e308, 1.7e308)
@@ -844,6 +853,12 @@ def test_record_near_the_float64_limit_exits_without_a_warning(
     write_csv(tmp_path / "big.csv", TimeSeries(t, big, 2.0))
     write_csv(tmp_path / "max.csv", TimeSeries(t, near_max, 2.0))
     write_csv(tmp_path / "tiny.csv", TimeSeries(t, tiny, 2.0))
+    for name, value, n in (("flat-10", 6.435101787974751e16, 10),
+                           ("flat-60", 3002399751580331.0, 60)):
+        flat = TimeSeries(0.5 * np.arange(n), np.full(n, value), 2.0)
+        write_csv(tmp_path / f"{name}.csv", flat)
+    span = np.where(t[:20] < 2.5, -3e307, 1.7e308)
+    write_csv(tmp_path / "span.csv", TimeSeries(t[:20], span, 2.0))
     want = (code, "", f"error: {message}\n")
     assert command(tmp_path, *argv) == want
     assert in_process(tmp_path, monkeypatch, capsys, *argv) == want

@@ -12,6 +12,11 @@ that the starting guess and the fit (raw and smoothed) return finite
 values or raise a ``ThermofitError``, and that no step of them, the
 smoother included, emits a NumPy warning.
 
+And, of the starting guess alone: on monotone noise-free step records its
+``c`` is the first-crossing rule's ``1 / t63`` bit for bit, and on any finite
+record of at least 10 samples it returns a finite positive ``c`` or raises
+a ``ThermofitError``.
+
 "Unchanged" means within a few float64 resolutions of the least-squares
 minimum (see ``fit_and_resolution``), not within a fixed relative
 tolerance: ``lm_fit`` accepts a step only when the computed cost drops, so
@@ -22,14 +27,15 @@ on ``c`` fails there: seed 300 shifted by ``t0 = 7`` s moves ``c`` by
 moves it by 5e-7 relative (2.4e-5 standard errors).
 """
 
+import math
 import warnings
 
 import numpy as np
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from thermofit import (FitParams, SGConfig, SynthSpec, ThermofitError, TimeSeries,
-                       fit_series, generate, initial_guess, sg_smooth)
+                       fit_series, generate, initial_guess, sg_smooth, step_response)
 
 from helpers import residual_variance, standard_errors
 
@@ -119,3 +125,40 @@ def test_any_scale_fits_or_fails_with_a_typed_error(k):
                 assert np.isfinite([result.a, result.b, result.c]).all()
             else:
                 assert np.isfinite([result.r_squared, *result.fitted]).all()
+
+
+def first_crossing_rate(ts, a0, b0):
+    """``1 / t63`` with ``t63`` the time of the first sample at or past 63.21% of
+    the step from ``a0`` to ``b0`` (Seborg, Edgar & Mellichamp, ch. 7)."""
+    threshold = a0 + 0.6321 * (b0 - a0)
+    crossed = np.sign(b0 - a0) * (ts.y - threshold) >= 0
+    return 1.0 / float(ts.t[np.argmax(crossed)] - ts.t[0])
+
+
+levels = st.floats(min_value=-1e3, max_value=1e3)
+
+
+@given(a=levels, b=levels, c=st.floats(min_value=1e-3, max_value=10.0),
+       rate=st.floats(min_value=0.5, max_value=100.0),
+       n=st.integers(min_value=10, max_value=2000))
+def test_start_on_a_monotone_record_is_the_first_crossing(a, b, c, rate, n):
+    assume(abs(a - b) > 1e-3)
+    t = np.arange(n) / rate
+    y = step_response(FitParams(a, b, c), t)
+    assume(np.all(np.sign(b - a) * np.diff(y) >= 0))  # as exp's rounding keeps it
+    ts = TimeSeries(t, y, rate)
+    g = initial_guess(ts)
+    assert g.c == first_crossing_rate(ts, g.a, g.b)
+
+
+@given(y=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=10,
+                  max_size=80))
+@example(y=[6.435101787974751e16] * 10)  # the level means round apart: every
+@example(y=[3002399751580331.0] * 60)  # sample is short of, or past, the 63% level
+def test_start_is_a_finite_positive_rate_or_a_typed_error(y):
+    ts = TimeSeries(0.5 * np.arange(len(y)), np.array(y), 2.0)
+    try:
+        g = initial_guess(ts)
+    except ThermofitError:
+        return
+    assert math.isfinite(g.c) and g.c > 0
