@@ -9,8 +9,6 @@ import json
 import os
 import re
 import sys
-import tempfile
-from contextlib import nullcontext
 from pathlib import Path
 
 if not {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
@@ -205,22 +203,18 @@ def _cmd_discretize(args) -> dict:
 def _cmd_pipeline(args) -> dict:
     spec, smoothing, cfg = _synth_spec(args), _smoothing(args), _lm_config(args)
     ts = generate(spec)
-    with (nullcontext(args.output) if args.output
-          else tempfile.TemporaryDirectory(prefix="thermofit-")) as directory:
-        outdir = Path(directory)
+    if args.output:
+        outdir = Path(args.output)
         outdir.mkdir(parents=True, exist_ok=True)  # a bad --output exits 3 before a fit
-        report = fit_series(ts, smoothing=smoothing, cfg=cfg)
+    report = fit_series(ts, smoothing=smoothing, cfg=cfg)
+    d = report_dict(report)
+    if args.output:
         raw = outdir / "raw.csv"
-        if args.output:
-            write_series_and_overlay(raw, outdir / "smoothed.csv", outdir / "overlay.csv",
-                                     ts.t, ts.y, report.target, report.fitted)
-        else:  # a temporary directory keeps only the round trip
-            write_csv(raw, ts)
+        write_series_and_overlay(raw, outdir / "smoothed.csv", outdir / "overlay.csv",
+                                 ts.t, ts.y, report.target, report.fitted)
         back = parse_csv(raw)  # the round trip through the file, compared bit for bit
         if (back.t.tobytes(), back.y.tobytes()) != (ts.t.tobytes(), ts.y.tobytes()):
             raise CsvFormatError(f"{raw} does not read back as the series written to it")
-    d = report_dict(report)
-    if args.output:
         (outdir / "report.json").write_text(_render(d, "json") + "\n", encoding="utf-8")
     return d
 

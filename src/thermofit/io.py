@@ -101,7 +101,6 @@ def _parse_rows(fh) -> tuple[np.ndarray, np.ndarray]:
     row with its 1-based line number (blank lines are skipped but counted)."""
     times: list[float] = []
     temps: list[float] = []
-    prev: float | None = None
     for lineno, raw in enumerate(fh, start=2):
         row = raw.strip()
         if not row:
@@ -120,11 +119,10 @@ def _parse_rows(fh) -> tuple[np.ndarray, np.ndarray]:
             ) from None
         if not (math.isfinite(t_val) and math.isfinite(y_val)):
             raise CsvFormatError(f"non-finite value in row {row!r}", line=lineno)
-        if prev is not None and t_val <= prev:
+        if times and t_val <= times[-1]:
             raise NonMonotoneTimeError(
-                f"time {t_val!r} does not increase past {prev!r}", line=lineno
+                f"time {t_val!r} does not increase past {times[-1]!r}", line=lineno
             )
-        prev = t_val
         times.append(t_val)
         temps.append(y_val)
     if len(times) < 2:

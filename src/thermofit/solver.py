@@ -98,7 +98,7 @@ class Weights:
 class LMConfig:
     """The solver settings the CLI exposes; :func:`lm_fit` fixes the rest.
 
-    ``lambda0 = 0`` runs undamped Gauss-Newton for the whole run.
+    ``lambda0 = 0`` starts undamped; a rejected step turns damping on at the default.
     """
 
     lambda0: float = 1e-3
@@ -235,8 +235,8 @@ def lm_fit(
             a, g = _system(model, t, w, p, r)
             if callback is not None:
                 callback(accepted, p.copy(), cost, lam)
-        else:
-            lam = min(lam * _DAMPING, np.finfo(float).max)  # a JSON number
+        else:  # an undamped run damps from the default; the cap keeps a JSON number
+            lam = min(lam * _DAMPING or LMConfig.lambda0, np.finfo(float).max)
         if np.linalg.norm(h) <= _TOL_STEP * (np.linalg.norm(p) + _TOL_STEP):
             stop = "step"
     else:

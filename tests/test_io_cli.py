@@ -29,13 +29,13 @@ Proves:
  - ``pipeline``'s one-pass raw, smoothed and overlay files are byte for
    byte what ``write_csv`` and ``write_overlay`` write from the same arrays,
    around the block boundaries, smoothed or not; a run formats each of its
-   four columns once (4n floats), a window-less ``fit --output`` 3n, and a
-   ``pipeline`` without ``--output`` 2n: its temporary directory holds only
-   ``raw.csv`` when it is removed, and stdout is byte for byte the same as
-   with ``--output`` (default and slow-regime records);
- - ``pipeline`` reads ``raw.csv`` back and exits 3 with one ``error:`` line
-   naming it when a value differs by one ulp, and a run whose fit fails
-   (exit 4) leaves its ``--output`` directory empty;
+   four columns once (4n floats) and a window-less ``fit --output`` 3n; a
+   ``pipeline`` without ``--output`` formats no float and opens no file for
+   writing, and its stdout is byte for byte the same as with ``--output``
+   (default and slow-regime records);
+ - ``pipeline --output`` reads ``raw.csv`` back and exits 3 with one
+   ``error:`` line naming it when a value differs by one ulp, and a run
+   whose fit fails (exit 4) leaves its ``--output`` directory empty;
  - records with epoch timestamps survive the CSV round trip and fit like
    the same record at t = 0, through the library and the ``fit`` command;
  - each CLI command produces re-parseable artifacts and the documented
@@ -79,9 +79,10 @@ Proves:
  - ``--seed`` alone sets the seed (a ``THERMOFIT_SEED`` in the environment
    changes no byte), and ``fit`` fits unweighted: ``--sigma`` is a usage
    error there;
- - ``pipeline`` smooths once, makes a temporary directory only without
-   ``--output`` and leaves none behind, and a ``pipeline --output`` run in
-   a fresh interpreter loads neither SciPy nor ``numpy.ma``.
+ - ``pipeline`` smooths once and makes no temporary directory, a
+   ``pipeline --output`` run in a fresh interpreter loads neither SciPy nor
+   ``numpy.ma``, and one without ``--output`` in an interpreter started
+   without ``site`` loads no ``tempfile``.
 """
 
 import errno
@@ -1278,9 +1279,8 @@ def test_pipeline_without_output_leaves_no_directory(tmp_path, monkeypatch, caps
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("output", [True, False], ids=["output", "temporary"])
-def test_pipeline_makes_a_temporary_directory_only_without_output(tmp_path, monkeypatch,
-                                                                  capsys, output):
+@pytest.mark.parametrize("output", [True, False], ids=["output", "no-output"])
+def test_pipeline_makes_no_temporary_directory(tmp_path, monkeypatch, capsys, output):
     made, mkdtemp = [], tempfile.mkdtemp  # TemporaryDirectory makes its own through it
 
     def counted(*args, **kwargs):
@@ -1292,29 +1292,31 @@ def test_pipeline_makes_a_temporary_directory_only_without_output(tmp_path, monk
     argv = ["--output", str(tmp_path / "d")] if output else []
     assert run_cli("pipeline", "--duration", "30", *argv) == 0
     capsys.readouterr()
-    assert len(made) == (0 if output else 1)
+    assert made == []
 
 
-def test_pipeline_without_output_writes_only_the_round_trip(tmp_path, monkeypatch,
-                                                            formatted, capsys):
-    listed = []
-    cleanup = tempfile.TemporaryDirectory.cleanup
+def test_pipeline_without_output_writes_no_file(tmp_path, formatted, capsys):
+    written, recording = [], [True]
 
-    def listing(self):
-        listed.append(sorted(os.listdir(self.name)))
-        cleanup(self)
+    def hook(event, args):  # an audit hook stays for the session, so it is switched off
+        if recording and (event == "os.mkdir" or event == "open"
+                          and args[2] & (os.O_WRONLY | os.O_RDWR)):
+            written.append(Path(args[0]).name)
 
-    monkeypatch.setattr(tempfile.TemporaryDirectory, "cleanup", listing)
-    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-    assert run_cli("pipeline", "--duration", "30") == 0
+    sys.addaudithook(hook)
+    try:
+        assert run_cli("pipeline", "--duration", "30") == 0
+        assert (written, len(formatted)) == ([], 0)
+        argv = ["--duration", "30", "--output", str(tmp_path / "d")]
+        assert run_cli("pipeline", *argv) == 0
+    finally:
+        recording.clear()
     capsys.readouterr()
-    assert listed == [["raw.csv"]]
-    assert len(formatted) == 2 * 3001  # time and raw, written once
+    assert written[0] == "d" and "raw.csv" in written  # the hook sees a writing run
+    assert len(formatted) == 4 * 3001
 
 
-@pytest.mark.parametrize("output", [True, False], ids=["output", "temporary"])
-def test_pipeline_round_trip_is_compared_bit_for_bit(tmp_path, monkeypatch, capsys,
-                                                     output):
+def test_pipeline_round_trip_is_compared_bit_for_bit(tmp_path, monkeypatch, capsys):
     def one_ulp_off(path):
         ts = parse_csv(path)
         y = ts.y.copy()
@@ -1322,8 +1324,7 @@ def test_pipeline_round_trip_is_compared_bit_for_bit(tmp_path, monkeypatch, caps
         return TimeSeries(ts.t, y, ts.rate)
 
     monkeypatch.setattr(thermofit.cli, "parse_csv", one_ulp_off)
-    argv = ["--output", str(tmp_path / "d")] if output else []
-    assert run_cli("pipeline", "--duration", "30", *argv) == 3
+    assert run_cli("pipeline", "--duration", "30", "--output", str(tmp_path / "d")) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     [line] = captured.err.splitlines()
@@ -1358,6 +1359,19 @@ def test_pipeline_run_loads_neither_scipy_nor_numpy_ma(tmp_path):
     err = subprocess.run([sys.executable, "-c", probe, *argv], env=child_env(),
                          capture_output=True, text=True, check=True).stderr
     assert err.strip() == "0 False False"
+
+
+def test_pipeline_without_output_loads_no_tempfile():
+    # -S skips site, whose .pth files may import tempfile in every interpreter; this
+    # interpreter's path still finds NumPy
+    probe = ("import sys; import thermofit.cli; code = thermofit.cli.main(['pipeline', "
+             "'--duration', '30', '--format', 'json']); "
+             "print(code, 'tempfile' in sys.modules, file=sys.stderr)")
+    path = os.pathsep.join([child_env()["PYTHONPATH"], *filter(None, sys.path)])
+    err = subprocess.run([sys.executable, "-S", "-c", probe],
+                         env=dict(child_env(), PYTHONPATH=path),
+                         capture_output=True, text=True, check=True).stderr
+    assert err.strip() == "0 False"
 
 
 def test_seed_variable_is_not_read_and_fit_takes_no_sigma(tmp_path, monkeypatch):

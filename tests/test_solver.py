@@ -11,7 +11,9 @@ Proves:
  - the full fit recovers exponential parameters from exact data to 1e-8
    with gradient convergence, and reproduces ordinary least squares when
    the damping is pinned at zero;
- - accepted costs decrease strictly; rejected steps only grow the damping;
+ - accepted costs decrease strictly; rejected steps only grow the damping,
+   and one rejected from zero damping turns it on, so an undamped start on
+   a noisy 30 s record stops before the cap at the default fit's ``c``;
  - a fit restarted at its own solution stops on the step test, not at the
    iteration cap;
  - a run stops only on the gradient test, the step test or the cap: two
@@ -207,6 +209,14 @@ def test_zero_damping_reproduces_ordinary_least_squares():
     x = np.stack([T_LIN, np.ones_like(T_LIN)], axis=-1)
     expected, *_ = np.linalg.lstsq(x, y, rcond=None)
     np.testing.assert_allclose(res.params, expected, atol=1e-12)
+
+
+def test_a_rejected_undamped_step_turns_damping_on():
+    # 0 * 10 is 0: without the restart every retry re-solves the rejected step
+    ts = generate(SynthSpec(FitParams(30.0, 25.0, 0.01), 100.0, 30.0, 0.5, 0))
+    undamped = fit_series(ts, cfg=LMConfig(lambda0=0.0)).result
+    assert undamped.accepted_steps >= 1 and undamped.converged != "max_iter"
+    assert undamped.params[2] == fit_series(ts).result.params[2]
 
 
 def test_accepted_costs_strictly_decrease():
