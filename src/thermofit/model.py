@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import (DataLengthError, InvalidParameterError,
                      UnstableDiscretizationError)
-from .solver import ResidualModel
 
 __all__ = [
     "PhysicalParams",
@@ -33,7 +32,6 @@ __all__ = [
     "process_to_fit",
     "fit_to_process",
     "step_response",
-    "ExponentialStepModel",
     "discretize",
     "simulate_discrete",
     "simulate_continuous",
@@ -227,27 +225,6 @@ def step_response(f: FitParams, t):
         raise InvalidParameterError("step_response requires t >= 0")
     y = (f.a - f.b) * np.exp(-f.c * t_arr) + f.b
     return float(y) if y.ndim == 0 else y
-
-
-class ExponentialStepModel(ResidualModel):
-    """The solver binding of :func:`step_response` and its Jacobian, p = (a, b, c)."""
-
-    def predict(self, t, p):
-        return step_response(FitParams(*p), t)
-
-    @np.errstate(over="ignore")
-    def jacobian_row(self, t, p):
-        """Partial derivatives of the step-response model with respect to
-        (a, b, c): ``(exp(-ct), 1 - exp(-ct), -t (a - b) exp(-ct))``.
-
-        ``t`` (>= 0, seconds) may be a scalar or array; returns shape (..., 3).
-        """
-        t_arr = np.asarray(t, dtype=float)
-        if np.any(t_arr < 0):
-            raise InvalidParameterError("the step-response Jacobian requires t >= 0")
-        a, b, c = np.asarray(p, dtype=float)
-        e = np.exp(-c * t_arr)
-        return np.stack([e, 1.0 - e, -t_arr * (a - b) * e], axis=-1)
 
 
 def discretize(p: ProcessParams, method: str, sample_time: float) -> DiscreteModel:

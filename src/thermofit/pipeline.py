@@ -1,6 +1,6 @@
 """End-to-end identification of a measured step response.
 
-Fits the exponential step-response model (``model.ExponentialStepModel``)
+Fits the exponential step-response model (``ExponentialStepModel``)
 to a measured record: optional smoothing, data-driven starting values, the
 solver run, fit statistics and the conversion back to process parameters.
 """
@@ -17,14 +17,14 @@ from .errors import (
     NonUniformSamplingError,
     SingularEquationsError,
 )
-from .model import (ExponentialStepModel, FitParams, ProcessParams, fit_to_process,
-                    step_response)
+from .model import FitParams, ProcessParams, fit_to_process, step_response
 from .sgolay import SGConfig, sg_smooth
-from .solver import FitResult, LMConfig, Weights, _readonly, lm_fit
+from .solver import FitResult, LMConfig, ResidualModel, Weights, _readonly, lm_fit
 
 __all__ = [
     "TimeSeries",
     "FitReport",
+    "ExponentialStepModel",
     "initial_guess",
     "r_squared",
     "fit_series",
@@ -161,6 +161,27 @@ class FitReport:
     stats: dict = field(repr=False)
 
 
+class ExponentialStepModel(ResidualModel):
+    """The solver binding of :func:`step_response` and its Jacobian, p = (a, b, c)."""
+
+    def predict(self, t, p):
+        return step_response(FitParams(*p), t)
+
+    @np.errstate(over="ignore")
+    def jacobian_row(self, t, p):
+        """Partial derivatives of the step-response model with respect to
+        (a, b, c): ``(exp(-ct), 1 - exp(-ct), -t (a - b) exp(-ct))``.
+
+        ``t`` (>= 0, seconds) may be a scalar or array; returns shape (..., 3).
+        """
+        t_arr = np.asarray(t, dtype=float)
+        if np.any(t_arr < 0):
+            raise InvalidParameterError("the step-response Jacobian requires t >= 0")
+        a, b, c = np.asarray(p, dtype=float)
+        e = np.exp(-c * t_arr)
+        return np.stack([e, 1.0 - e, -t_arr * (a - b) * e], axis=-1)
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite fit is raised below
 def fit_series(
     ts: TimeSeries,
@@ -229,9 +250,11 @@ def fit_series(
         stats.update(sse=sse, rmse=math.sqrt(sse / dfe) if dfe else None)
     if dfe and np.isfinite(result.normal_matrix).all():  # else pinv raises
         cov = sse / dfe * np.linalg.pinv(result.normal_matrix)
+        cov = np.triu(cov) + np.triu(cov, 1).T  # pinv is symmetric only to rounding
         se = np.sqrt(np.diag(cov))
         if np.all(np.isfinite(se) & (se > 0)):
             corr = np.clip(cov / np.outer(se, se), -1.0, 1.0)  # rounding passes 1
+            np.fill_diagonal(corr, 1.0)
             stats.update(se=se.tolist(), correlation=corr.tolist())
             if se[2] > 0.1 * abs(fit.c):
                 warnings.append(f"standard error of c {se[2]:.3g} exceeds 10% of "

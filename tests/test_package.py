@@ -6,6 +6,11 @@ Proves:
  - ``import thermofit`` in a fresh interpreter loads neither NumPy nor a
    submodule; ``thermofit.io`` then resolves without an explicit import, and
    ``from thermofit import *`` binds exactly ``thermofit.__all__``;
+ - ``import thermofit.model`` loads neither the solver nor the pipeline, and
+   ``ExponentialStepModel``, the solver binding of the model, is the
+   pipeline's;
+ - perfbench's tracer installs on the modules ``thermofit.cli`` loads, so a
+   refactor that unbinds a traced name fails here;
  - every public class and function a module defines is in its ``__all__``;
  - the CLI's ``--lambda0``, ``--max-iter`` and ``--tol-grad`` options of
    ``fit`` and ``pipeline`` are exactly ``LMConfig``'s fields, with its
@@ -60,6 +65,39 @@ def test_import_loads_the_modules_on_first_use():
     """
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     subprocess.run([sys.executable, "-c", script], env=env, check=True)
+
+
+def test_the_model_module_imports_no_solver():
+    script = """if True:
+        import sys
+        import thermofit.model
+        loaded = {"thermofit.solver", "thermofit.pipeline"} & sys.modules.keys()
+        assert not loaded, loaded
+        import thermofit
+        model = thermofit.ExponentialStepModel
+        assert model is thermofit.pipeline.ExponentialStepModel
+        assert model.__module__ == "thermofit.pipeline", model.__module__
+    """
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", script], env=env, check=True)
+
+
+def test_the_benchmark_tracer_installs_on_the_cli_modules():
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    if not tracer.is_file():
+        pytest.skip("perfbench/tracer.py is not in this checkout")
+    script = f"""if True:
+        import importlib.util
+        import thermofit.cli
+        spec = importlib.util.spec_from_file_location("tracer", {str(tracer)!r})
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        tracer = module.Tracer()
+        tracer.install()  # raises TracerError when a traced name is bound nowhere
+        tracer.uninstall()
+    """
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-B", "-c", script], env=env, check=True)
 
 
 def test_modules_declare_every_public_definition():

@@ -24,9 +24,9 @@ Proves:
    and 3 time constants, raw and smoothed, the RMS of ``(c - c_true) / SE``
    lies in [0.8, 1.2];
  - constant weights give the unweighted standard errors; the correlation
-   matrix is symmetric, with a unit diagonal and entries in [-1, 1]; a
-   record cut at half a time constant warns that the SE of ``c`` is over
-   10% of ``|c|``, and the slow regime does not;
+   matrix is exactly symmetric, with a diagonal of exactly 1 and entries in
+   [-1, 1]; a record cut at half a time constant warns that the SE of ``c``
+   is over 10% of ``|c|``, and the slow regime does not;
  - the fit runs on elapsed time: any clock origin gives the same fit, and
    ``FitReport.fitted`` is the read-only model the R-squared was taken on;
  - the fits of the default and slow-regime ``pipeline`` records, SG(3, 901)
@@ -374,8 +374,8 @@ def test_constant_weights_give_the_unweighted_standard_errors():
 def test_correlation_is_a_correlation_matrix(smoothing):
     ts = clean_series(29.07, 25.68, 0.004, duration=750.0, sigma=0.5, seed=0)
     corr = np.array(fit_series(ts, smoothing=smoothing).stats["correlation"])
-    np.testing.assert_allclose(corr, corr.T, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(np.diag(corr), 1.0, rtol=0, atol=1e-12)
+    assert np.array_equal(corr, corr.T)
+    assert np.all(np.diag(corr) == 1.0)
     assert np.all(np.abs(corr) <= 1.0)
 
 
