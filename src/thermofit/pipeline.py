@@ -10,13 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DataLengthError,
-    FlatSeriesError,
-    InvalidParameterError,
-    NonUniformSamplingError,
-    SingularEquationsError,
-)
+from .errors import (DataLengthError, FlatSeriesError, InvalidParameterError,
+                     NonUniformSamplingError, SingularEquationsError)
 from .model import FitParams, ProcessParams, fit_to_process, step_response
 from .sgolay import SGConfig, sg_smooth
 from .solver import FitResult, LMConfig, ResidualModel, Weights, _readonly, lm_fit
@@ -135,7 +130,8 @@ def r_squared(y, yhat) -> float:
 class FitReport:
     """Everything a fit run produced.
 
-    ``process`` is None whenever ``fit_to_process`` rejects the fit.
+    ``smoothing`` is the ``SGConfig`` applied, or None; ``process`` is None
+    whenever ``fit_to_process`` rejects the fit.
     ``target`` is the series that was fitted and the reference of ``r_squared``:
     the smoothed series when smoothing was applied, as slow thermal runs are
     analyzed in practice, the raw one otherwise (read-only; the raw series stays
@@ -169,16 +165,14 @@ class ExponentialStepModel(ResidualModel):
 
     @np.errstate(over="ignore")
     def jacobian_row(self, t, p):
-        """Partial derivatives of the step-response model with respect to
-        (a, b, c): ``(exp(-ct), 1 - exp(-ct), -t (a - b) exp(-ct))``.
+        """Partials in (a, b, c) from :func:`step_response`: ``df/da = f(t; 1, 0, c)``,
+        ``df/db = 1 - df/da`` and ``df/dc = -t (a - b) df/da``.
 
-        ``t`` (>= 0, seconds) may be a scalar or array; returns shape (..., 3).
+        ``t`` may be a scalar or array; returns shape (..., 3).
         """
         t_arr = np.asarray(t, dtype=float)
-        if np.any(t_arr < 0):
-            raise InvalidParameterError("the step-response Jacobian requires t >= 0")
         a, b, c = np.asarray(p, dtype=float)
-        e = np.exp(-c * t_arr)
+        e = step_response(FitParams(1.0, 0.0, c), t_arr)
         return np.stack([e, 1.0 - e, -t_arr * (a - b) * e], axis=-1)
 
 

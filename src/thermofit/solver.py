@@ -124,6 +124,10 @@ class FitResult:
     ``converged`` names the test that stopped the run: ``"grad"`` (max-norm
     of J^T W r below tol_grad), ``"step"`` (relative parameter step below
     1e-10) or ``"max_iter"``.  ``normal_matrix`` is J^T W J at ``params``.
+    ``residuals`` (y - yhat) and ``cost`` (F) are taken at ``params`` against the
+    ``y`` that :func:`lm_fit` was given, in ``fit_series`` the fitting target (the
+    smoothed series when smoothing was applied); ``FitReport.stats`` takes ``sse``
+    and ``rmse`` from the raw record.
     """
 
     params: np.ndarray

@@ -9,6 +9,8 @@ Proves:
  - ``import thermofit.model`` loads neither the solver nor the pipeline, and
    ``ExponentialStepModel``, the solver binding of the model, is the
    pipeline's;
+ - ``np.exp`` is called in ``src/thermofit`` only inside
+   ``model.step_response``, so the model is evaluated in one place;
  - perfbench's tracer installs on the modules ``thermofit.cli`` loads, so a
    refactor that unbinds a traced name fails here;
  - every public class and function a module defines is in its ``__all__``;
@@ -80,6 +82,27 @@ def test_the_model_module_imports_no_solver():
     """
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     subprocess.run([sys.executable, "-c", script], env=env, check=True)
+
+
+def test_the_step_model_exponential_is_evaluated_in_one_place():
+    # the Jacobian takes its columns from step_response instead of its own np.exp
+    src = Path(__file__).resolve().parents[1] / "src" / "thermofit"
+    callers = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}  # each call to its innermost function; ast.walk visits outer first
+        for scope in [tree, *(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef))]:
+            for node in ast.walk(scope):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "exp"
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id in ("np", "numpy")
+                ):
+                    owner[node] = getattr(scope, "name", "<module>")
+        callers += [f"{path.stem}.{name}" for name in owner.values()]
+    assert callers == ["model.step_response"]
 
 
 def test_the_benchmark_tracer_installs_on_the_cli_modules():

@@ -8,8 +8,12 @@ Proves:
    that names the worst gap, immutability);
  - the analytic Jacobian, ``ExponentialStepModel.jacobian_row``, at its
    boundary values and against central finite differences over random
-   draws, and that the solver model predicts through ``step_response`` and
-   rejects negative times in both methods;
+   draws, bit for bit the closed form ``(e, 1 - e, -t (a - b) e)`` with
+   ``e = exp(-c t)`` on the slow regime's grid (also where ``c t``
+   overflows and for a negative rate) and at a scalar ``t = 0``, and that
+   the solver model predicts through ``step_response`` and rejects, in both
+   methods, negative times with ``step_response``'s one message and a
+   non-finite rate;
  - starting-value quality on clean falling and rising curves, and the
    flat-series rejection;
  - R-squared point values and its rejection of a constant input and of one
@@ -204,8 +208,26 @@ def test_solver_model_is_step_response_and_its_jacobian():
     p = np.array([30.0, 25.0, 0.01])
     np.testing.assert_array_equal(model.predict(t, p), step_response(FitParams(*p), t))
     for method in (model.predict, model.jacobian_row):
-        with pytest.raises(InvalidParameterError, match="t >= 0"):
+        with pytest.raises(InvalidParameterError, match=r"^step_response requires t >= 0$"):
             method(np.array([-1.0, 0.0]), p)
+        with pytest.raises(InvalidParameterError, match="c must be finite"):
+            method(t, [30.0, 25.0, np.nan])
+
+
+@pytest.mark.parametrize("t, c", [
+    (np.arange(75001) / 100, 0.004),  # the slow regime's grid
+    (np.arange(75001) / 100, 1e308),  # c t overflows to inf from t = 2 on
+    (np.arange(75001) / 100, -0.01),
+    (0.0, 0.004),
+], ids=["slow", "overflow", "negative-rate", "scalar"])
+def test_jacobian_is_the_closed_form_bit_for_bit(t, c):
+    # the reference: the closed form, with its own exponential
+    t_arr = np.asarray(t, dtype=float)
+    with np.errstate(over="ignore"):
+        e = np.exp(-c * t_arr)
+        expected = np.stack([e, 1.0 - e, -t_arr * (30.0 - 25.0) * e], axis=-1)
+    row = ExponentialStepModel().jacobian_row(t, [30.0, 25.0, c])
+    np.testing.assert_array_equal(row, expected, strict=True)
 
 
 def test_jacobian_matches_finite_differences_on_random_draws():
