@@ -9,7 +9,6 @@ import json
 import os
 import re
 import sys
-from pathlib import Path
 
 if not {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
     os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before NumPy loads; lets io's writer fork
@@ -203,19 +202,16 @@ def _cmd_discretize(args) -> dict:
 def _cmd_pipeline(args) -> dict:
     spec, smoothing, cfg = _synth_spec(args), _smoothing(args), _lm_config(args)
     ts = generate(spec)
-    if args.output:
-        outdir = Path(args.output)
-        outdir.mkdir(parents=True, exist_ok=True)  # a bad --output exits 3 before a fit
+    if args.output:  # a bad --output exits 3 before a fit
+        os.makedirs(args.output, exist_ok=True)
     report = fit_series(ts, smoothing=smoothing, cfg=cfg)
     d = report_dict(report)
     if args.output:
-        raw = outdir / "raw.csv"
-        write_series_and_overlay(raw, outdir / "smoothed.csv", outdir / "overlay.csv",
+        out = lambda name: os.path.join(args.output, name)
+        write_series_and_overlay(out("raw.csv"), out("smoothed.csv"), out("overlay.csv"),
                                  ts.t, ts.y, report.target, report.fitted)
-        back = parse_csv(raw)  # the round trip through the file, compared bit for bit
-        if (back.t.tobytes(), back.y.tobytes()) != (ts.t.tobytes(), ts.y.tobytes()):
-            raise CsvFormatError(f"{raw} does not read back as the series written to it")
-        (outdir / "report.json").write_text(_render(d, "json") + "\n", encoding="utf-8")
+        with open(out("report.json"), "w", encoding="utf-8") as fh:
+            fh.write(_render(d, "json") + "\n")
     return d
 
 

@@ -140,8 +140,9 @@ class FitReport:
     ``step_response(fit, t - t[0])`` (read-only).  ``stats`` holds ``dfe``
     (n - 3), ``sse`` and ``rmse = sqrt(sse / dfe)`` of the raw record, weighted
     as the fit, and the standard errors ``se`` of ``(a, b, c)`` with their
-    ``correlation``, from ``sse / dfe * pinv(J^T W J)`` under white noise, and
-    the ``resolution``, the smallest gap between distinct raw values.
+    ``correlation``, from ``sse / dfe * D pinv(D J^T W J D) D`` with
+    ``D = diag(J^T W J)^(-1/2)`` under white noise (so they do not depend on the
+    time unit), and the ``resolution``, the smallest gap between distinct raw values.
     Each is None where it is undefined or not finite: ``rmse`` at ``dfe == 0``,
     ``se`` and ``correlation`` unless every standard error is positive.
     """
@@ -242,8 +243,11 @@ def fit_series(
     warnings.extend(_range_warnings(ts.y, fitted, stats["resolution"]))
     if math.isfinite(sse):  # a raw residual past 1e154 that smoothing hid squares to inf
         stats.update(sse=sse, rmse=math.sqrt(sse / dfe) if dfe else None)
-    if dfe and np.isfinite(result.normal_matrix).all():  # else pinv raises
-        cov = sse / dfe * np.linalg.pinv(result.normal_matrix)
+    with np.errstate(divide="ignore"):  # scaled: pinv's cut-off ignores the time unit
+        d = 1.0 / np.sqrt(np.diag(result.normal_matrix))
+    scaled = d[:, None] * result.normal_matrix * d  # not finite on a zero or inf diagonal
+    if dfe and np.isfinite(scaled).all():  # else pinv raises
+        cov = sse / dfe * np.outer(d, d) * np.linalg.pinv(scaled)
         cov = np.triu(cov) + np.triu(cov, 1).T  # pinv is symmetric only to rounding
         se = np.sqrt(np.diag(cov))
         if np.all(np.isfinite(se) & (se > 0)):

@@ -22,7 +22,10 @@ Proves:
    the CLI exit 3, and one killed by a signal is named;
    a second thread or an ignored SIGCHLD keeps the write in one process,
    a fresh interpreter with BLAS pinned to one thread forks, once for all
-   three files of a ``pipeline --output`` run, and so does one with both
+   three files of a ``pipeline --output`` run, whose ``raw.csv`` parses back
+   bit for bit to ``generate(spec)`` and whose smoothed and overlay files are
+   what ``write_csv`` and ``write_overlay`` write from the run's record and
+   fit (the shortest ``repr`` of each value round-trips), and so does one with both
    thread variables unset, because the CLI pins OpenBLAS; a user's
    ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is kept; no child is
    left behind;
@@ -33,9 +36,8 @@ Proves:
    ``pipeline`` without ``--output`` formats no float and opens no file for
    writing, and its stdout is byte for byte the same as with ``--output``
    (default and slow-regime records);
- - ``pipeline --output`` reads ``raw.csv`` back and exits 3 with one
-   ``error:`` line naming it when a value differs by one ulp, and a run
-   whose fit fails (exit 4) leaves its ``--output`` directory empty;
+ - ``pipeline --output`` reads no file back (``parse_csv`` is not called),
+   and a run whose fit fails (exit 4) leaves its ``--output`` directory empty;
  - records with epoch timestamps survive the CSV round trip and fit like
    the same record at t = 0, through the library and the ``fit`` command;
  - each CLI command produces re-parseable artifacts and the documented
@@ -82,7 +84,8 @@ Proves:
  - ``pipeline`` smooths once and makes no temporary directory, a
    ``pipeline --output`` run in a fresh interpreter loads neither SciPy nor
    ``numpy.ma``, and one without ``--output`` in an interpreter started
-   without ``site`` loads no ``tempfile``.
+   without ``site`` loads no ``tempfile``; there, neither ``import
+   thermofit.cli`` nor a ``pipeline --output`` run loads ``pathlib``.
 """
 
 import errno
@@ -111,6 +114,7 @@ from thermofit import (
     fit_series,
     generate,
     parse_csv,
+    step_response,
     write_csv,
 )
 from thermofit.cli import main
@@ -613,15 +617,28 @@ def test_a_pipeline_run_forks_once(tmp_path):
         out = tmp_path / str(i)
         env = dict(unset, **extra, PYTHONPATH=os.pathsep.join(sys.path))
         argv = ["pipeline", "--rate", "1", "--duration", str(FORK - 1), "--window", "0",
-                "--output", str(out)]
-        err = subprocess.run([sys.executable, "-c", script, *argv], env=env,
-                             capture_output=True, text=True, check=True).stderr
-        code, threads, forked, seen = err.split()[-4:]
+                "--output", str(out), "--format", "json"]
+        ran = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                             capture_output=True, text=True, check=True)
+        code, threads, forked, seen = ran.stderr.split()[-4:]
         assert (code, seen) == ("0", blas), extra
         # one write of all three files
         assert int(forked) == (1 if threads == "1" else 0), (extra, threads)
         for name in ("raw.csv", "smoothed.csv", "overlay.csv"):
             assert len((out / name).read_bytes().splitlines()) == 1 + FORK, name
+        if extra is pinned:
+            pinned_run = out, strict_json(ran.stdout)
+    # the pinned run's files hold its record and its fit bit for bit
+    out, report = pinned_run
+    ts = generate(SynthSpec(FitParams(30.0, 25.0, 0.01), 1.0, FORK - 1, 0.5, 0))
+    back = parse_csv(out / "raw.csv")
+    assert (back.t.tobytes(), back.y.tobytes()) == (ts.t.tobytes(), ts.y.tobytes())
+    fit = FitParams(report["a"], report["b"], report["c"])
+    write_csv(tmp_path / "smoothed.csv", ts)  # --window 0: smoothed is raw
+    write_overlay(tmp_path / "overlay.csv", ts.t, ts.y, ts.y,
+                  step_response(fit, ts.t - ts.t[0]))
+    for name in ("smoothed.csv", "overlay.csv"):
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
 
 
 # ----------------------------------------------------------------------- cli
@@ -1316,19 +1333,24 @@ def test_pipeline_without_output_writes_no_file(tmp_path, formatted, capsys):
     assert len(formatted) == 4 * 3001
 
 
-def test_pipeline_round_trip_is_compared_bit_for_bit(tmp_path, monkeypatch, capsys):
-    def one_ulp_off(path):
-        ts = parse_csv(path)
-        y = ts.y.copy()
-        y[7] = np.nextafter(y[7], np.inf)
-        return TimeSeries(ts.t, y, ts.rate)
+def test_pipeline_output_reads_no_file_back(tmp_path, monkeypatch, capsys):
+    parsed, read, recording = [], [], [True]
 
-    monkeypatch.setattr(thermofit.cli, "parse_csv", one_ulp_off)
-    assert run_cli("pipeline", "--duration", "30", "--output", str(tmp_path / "d")) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    [line] = captured.err.splitlines()
-    assert line.startswith("error: ") and "raw.csv" in line
+    def hook(event, args):  # an audit hook stays for the session, so it is switched off
+        if recording and event == "open" and not args[2] & (os.O_WRONLY | os.O_RDWR):
+            read.append(str(args[0]))
+
+    monkeypatch.setattr(thermofit.cli, "parse_csv", lambda path: parsed.append(path))
+    out = tmp_path / "d"
+    sys.addaudithook(hook)
+    try:
+        assert run_cli("pipeline", "--duration", "30", "--output", str(out)) == 0
+    finally:
+        recording.clear()
+    capsys.readouterr()
+    assert parsed == []
+    assert [p for p in read if p.startswith(str(out))] == []
+    assert parse_csv(out / "raw.csv").n == 3001
 
 
 def test_a_failed_pipeline_fit_leaves_the_output_directory_empty(tmp_path, capsys):
@@ -1361,17 +1383,29 @@ def test_pipeline_run_loads_neither_scipy_nor_numpy_ma(tmp_path):
     assert err.strip() == "0 False False"
 
 
+def without_site(probe):
+    """The stderr of ``python -S -c probe``.  -S skips site, whose .pth files may
+    import tempfile or pathlib in every interpreter; this interpreter's path still
+    finds NumPy."""
+    path = os.pathsep.join([child_env()["PYTHONPATH"], *filter(None, sys.path)])
+    return subprocess.run([sys.executable, "-S", "-c", probe],
+                          env=dict(child_env(), PYTHONPATH=path),
+                          capture_output=True, text=True, check=True).stderr
+
+
 def test_pipeline_without_output_loads_no_tempfile():
-    # -S skips site, whose .pth files may import tempfile in every interpreter; this
-    # interpreter's path still finds NumPy
     probe = ("import sys; import thermofit.cli; code = thermofit.cli.main(['pipeline', "
              "'--duration', '30', '--format', 'json']); "
              "print(code, 'tempfile' in sys.modules, file=sys.stderr)")
-    path = os.pathsep.join([child_env()["PYTHONPATH"], *filter(None, sys.path)])
-    err = subprocess.run([sys.executable, "-S", "-c", probe],
-                         env=dict(child_env(), PYTHONPATH=path),
-                         capture_output=True, text=True, check=True).stderr
-    assert err.strip() == "0 False"
+    assert without_site(probe).strip() == "0 False"
+
+
+def test_the_cli_loads_no_pathlib(tmp_path):
+    probe = ("import sys; import thermofit.cli; loaded = 'pathlib' in sys.modules; "
+             "code = thermofit.cli.main(['pipeline', '--duration', '30', '--output', "
+             f"{str(tmp_path / 'd')!r}]); "
+             "print(loaded, code, 'pathlib' in sys.modules, file=sys.stderr)")
+    assert without_site(probe).strip() == "False 0 False"
 
 
 def test_seed_variable_is_not_read_and_fit_takes_no_sigma(tmp_path, monkeypatch):
