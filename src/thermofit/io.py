@@ -34,12 +34,12 @@ def parse_csv(path) -> TimeSeries:
     """Read a two-column measurement series.
 
     The header must be ``time_s,temp_c`` (case-insensitive).  Raises
-    FileNotFoundError for a missing file, CsvFormatError for text that is
-    not UTF-8 and (with the line number) for malformed rows,
-    NonMonotoneTimeError (with the line number) when time fails to
-    increase, and NonUniformSamplingError when the spacing strays from the
-    inferred rate.  The rate is inferred from the median sample spacing.
-    A UTF-8 byte-order mark and CRLF line ends are read as well.
+    FileNotFoundError for a missing file, CsvFormatError for text that is not
+    UTF-8 and (with the line number) for malformed rows, NonMonotoneTimeError
+    (with the line number) when time fails to increase, and
+    NonUniformSamplingError when the spacing strays from the rate, the inverse
+    of the median sample spacing (:meth:`TimeSeries.require_uniform`).  A UTF-8
+    byte-order mark and CRLF line ends are read as well.
     """
     try:
         with open(path, encoding="utf-8-sig") as fh:
@@ -58,7 +58,7 @@ def parse_csv(path) -> TimeSeries:
     # a time span that overflows gives rate 0 here; TimeSeries names the span
     with np.errstate(over="ignore"):
         rate = 1.0 / _median(np.diff(t))
-    return TimeSeries(t=t, y=y, rate=rate)
+    return TimeSeries(t=t, y=y, rate=rate).require_uniform()
 
 
 def _median(x: np.ndarray) -> float:

@@ -31,13 +31,11 @@ _STEP_FRACTION = 0.6321
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Uniformly sampled temperature record.
+    """Temperature record, on any spacing (:meth:`require_uniform` tests it).
 
     ``t`` in seconds (strictly increasing, with a span finite in float64),
     ``y`` in degC, both finite; ``rate`` the nominal sampling rate in Hz
-    (positive, with ``rate`` and ``1/rate`` finite).  Spacing must match
-    ``1/rate`` within 1% (logger jitter) or four float spacings of max ``|t|``
-    (epoch timestamps), whichever is coarser.  Arrays are copied and frozen.
+    (positive, with ``rate`` and ``1/rate`` finite).  Arrays are copied and frozen.
     """
 
     t: np.ndarray
@@ -57,24 +55,29 @@ class TimeSeries:
             raise InvalidParameterError(f"time span {lo!r} to {hi!r} overflows float64")
         if not (0 < self.rate < math.inf and 1 / float(self.rate) < math.inf):
             raise InvalidParameterError("rate and 1/rate must be positive and finite")
-        dt = np.diff(t)
-        if np.any(dt <= 0):
+        if np.any(np.diff(t) <= 0):
             raise InvalidParameterError("time must be strictly increasing")
-        nominal = 1.0 / self.rate
-        i = int(np.argmax(np.abs(dt - nominal)))
-        worst = abs(float(dt[i]) - nominal) / nominal
-        tol = max(1e-2, 4.0 * float(np.spacing(max(-lo, hi))) / nominal)
-        if worst > tol:
-            raise NonUniformSamplingError(
-                f"sample spacing deviates from 1/rate by {worst:.3e} relative (tolerance"
-                f" {tol:.3g}) between t = {float(t[i])!r} and t = {float(t[i + 1])!r}"
-            )
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "y", y)
 
     @property
     def n(self) -> int:
         return self.t.size
+
+    def require_uniform(self) -> "TimeSeries":
+        """This series if each spacing is within 1% of ``1/rate`` (logger jitter) or
+        four float spacings of max ``|t|`` (epoch times); else NonUniformSamplingError."""
+        t, nominal = self.t, 1.0 / self.rate
+        dt = np.diff(t)
+        i = int(np.argmax(np.abs(dt - nominal)))
+        worst = abs(float(dt[i]) - nominal) / nominal
+        tol = max(1e-2, 4.0 * float(np.spacing(max(-t[0], t[-1]))) / nominal)
+        if worst > tol:
+            raise NonUniformSamplingError(
+                f"sample spacing deviates from 1/rate by {worst:.3e} relative (tolerance"
+                f" {tol:.3g}) between t = {float(t[i])!r} and t = {float(t[i + 1])!r}"
+            )
+        return self
 
 
 @np.errstate(over="ignore")  # an overflowing mean is raised below
@@ -187,15 +190,15 @@ def fit_series(
 ) -> FitReport:
     """Smooth (optionally), pick starting values, fit, and report.
 
-    The fit runs on elapsed time ``ts.t - ts.t[0]``, so ``a`` is the value
-    at the first sample whatever the clock's origin.  ``p0`` overrides the
-    data-driven starting values.  Warnings flag a window larger than half
-    the series, a fit that ``fit_to_process`` rejects, an iteration-capped
-    solver run, a negative R-squared, a fitted curve that leaves the range of
-    the raw data and a standard error of ``c`` over 10% of ``|c|``; none of
-    them aborts the run.  Raises SingularEquationsError when the fit is not
-    finite in float64, which values near 1e154 (whose squares overflow) bring
-    about.
+    The fit runs on elapsed time ``ts.t - ts.t[0]``, on any spacing, so ``a`` is the
+    value at the first sample whatever the clock's origin.  ``p0`` overrides the
+    data-driven starting values.  Warnings flag a window larger than half the
+    series, a fit that ``fit_to_process`` rejects, an iteration-capped solver run, a
+    negative R-squared, a fitted curve that leaves the range of the raw data and a
+    standard error of ``c`` over 10% of ``|c|``; none of them aborts the run.
+    Raises NonUniformSamplingError when asked to smooth a series that
+    ``ts.require_uniform()`` rejects, and SingularEquationsError when the fit is not
+    finite in float64, which values near 1e154 (whose squares overflow) bring about.
     """
     warnings: list[str] = []
     t = ts.t - ts.t[0]
@@ -206,7 +209,7 @@ def fit_series(
                 f"smoothing window {smoothing.window} exceeds half the series "
                 f"length ({ts.n}); expect edge-dominated output"
             )
-        target = TimeSeries(ts.t, sg_smooth(ts.y, smoothing), ts.rate)
+        target = TimeSeries(ts.t, sg_smooth(ts.require_uniform().y, smoothing), ts.rate)
 
     if p0 is None:
         p0 = initial_guess(target)

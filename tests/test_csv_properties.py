@@ -83,7 +83,7 @@ def reference_parse(path):
     with open(path, encoding="utf-8") as fh:
         fh.readline()
         t, y = _parse_rows(fh)
-    return TimeSeries(t, y, 1.0 / float(np.median(np.diff(t))))
+    return TimeSeries(t, y, 1.0 / float(np.median(np.diff(t)))).require_uniform()
 
 
 def outcome(parse, path):

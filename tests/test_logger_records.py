@@ -4,11 +4,12 @@ Proves, for each record of ``helpers.LOGGER_RECORDS`` fitted by
 ``thermofit fit --format json`` in process, raw and with SG(3, 51), today's
 outcome: the exit code, the error or the set of warnings, and how far the
 fitted ``c`` lies from the true 0.01 in units of the report's standard error
-of ``c``.  A change that mends a record flips its row here.  The 7 Hz record
-with times printed to 1 ms fits to the ``c`` of its exact-time twin within
-1e-3 standard errors, raw and smoothed, over 20 seeds.  The ``seed-64`` setting
-(noise sigma 2 at 10 Hz for 100 s) fits raw without a singular solve over
-seeds 0-99.
+of ``c``.  A change that mends a record flips its row here.  ``thermofit
+smooth --window 51`` of the record with a missing row exits 3 with its
+``fit`` message and writes no file.  The 7 Hz record with times printed to
+1 ms fits to the ``c`` of its exact-time twin within 1e-3 standard errors,
+raw and smoothed, over 20 seeds.  The ``seed-64`` setting (noise sigma 2 at
+10 Hz for 100 s) fits raw without a singular solve over seeds 0-99.
 
 Seed 0 stands for every seed where 40 seeds give one outcome (the largest
 error over them: 2.1 standard errors clean, 2.6 printed to 0.1 degC, 2.3 cut
@@ -93,6 +94,14 @@ def test_logger_record_outcome(tmp_path, capsys, kind, window):
     warning_sets, (lo, hi) = want
     assert {frozenset(run[1]) for run in runs} == set(map(frozenset, warning_sets))
     assert lo < max(run[2] for run in runs) < hi
+
+
+def test_smooth_refuses_the_missing_row_record(tmp_path, capsys):
+    path, out = tmp_path / "missing-row.csv", tmp_path / "smoothed.csv"
+    path.write_text(logger_record("missing-row", 0))
+    code = main(["smooth", "--input", str(path), "--output", str(out), "--window", "51"])
+    assert (code, capsys.readouterr().err) == (3, f"error: {CORPUS['missing-row'][1]}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("smoothing", [None, SGConfig(3, 51)], ids=["raw", "sg51"])

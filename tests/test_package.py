@@ -11,6 +11,9 @@ Proves:
    pipeline's;
  - ``np.exp`` is called in ``src/thermofit`` only inside
    ``model.step_response``, so the model is evaluated in one place;
+ - ``NonUniformSamplingError`` is constructed only in
+   ``TimeSeries.require_uniform``, which only ``io.parse_csv`` and
+   ``pipeline.fit_series`` call, so the uniform grid is required in one place;
  - perfbench's tracer installs on the modules ``thermofit.cli`` loads, so a
    refactor that unbinds a traced name fails here;
  - every public class and function a module defines is in its ``__all__``;
@@ -84,25 +87,47 @@ def test_the_model_module_imports_no_solver():
     subprocess.run([sys.executable, "-c", script], env=env, check=True)
 
 
+def callers_in_source(matches) -> list[str]:
+    """``module.Class.function`` of the innermost definition around each call in
+    ``src/thermofit`` for which ``matches(call)`` holds, module by module."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, f"{owner}.{child.name}")
+                continue
+            if isinstance(child, ast.Call) and matches(child):
+                found.append(owner)
+            visit(child, owner)
+
+    src = Path(__file__).resolve().parents[1] / "src" / "thermofit"
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return found
+
+
 def test_the_step_model_exponential_is_evaluated_in_one_place():
     # the Jacobian takes its columns from step_response instead of its own np.exp
-    src = Path(__file__).resolve().parents[1] / "src" / "thermofit"
-    callers = []
-    for path in sorted(src.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        owner = {}  # each call to its innermost function; ast.walk visits outer first
-        for scope in [tree, *(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef))]:
-            for node in ast.walk(scope):
-                if (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "exp"
-                    and isinstance(node.func.value, ast.Name)
-                    and node.func.value.id in ("np", "numpy")
-                ):
-                    owner[node] = getattr(scope, "name", "<module>")
-        callers += [f"{path.stem}.{name}" for name in owner.values()]
+    callers = callers_in_source(
+        lambda call: isinstance(call.func, ast.Attribute)
+        and call.func.attr == "exp"
+        and isinstance(call.func.value, ast.Name)
+        and call.func.value.id in ("np", "numpy")
+    )
     assert callers == ["model.step_response"]
+
+
+def test_the_uniform_grid_is_required_in_one_place():
+    # only the smoother works in sample index; a raw fit takes any increasing axis
+    def named(name):
+        return lambda call: name in (getattr(call.func, "id", None),
+                                     getattr(call.func, "attr", None))
+
+    owners = callers_in_source(named("NonUniformSamplingError"))
+    assert owners == ["pipeline.TimeSeries.require_uniform"]
+    assert callers_in_source(named("require_uniform")) == ["io.parse_csv",
+                                                           "pipeline.fit_series"]
 
 
 def test_the_benchmark_tracer_installs_on_the_cli_modules():

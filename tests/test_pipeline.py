@@ -3,9 +3,12 @@ fit statistics and the end-to-end fit.
 
 Proves:
  - TimeSeries invariants (length, finite values, a time span, a rate and
-   1/rate finite in float64, monotone time, uniform spacing with a
-   tolerance that admits 1% logger jitter and epoch timestamps and an error
-   that names the worst gap, immutability);
+   1/rate finite in float64, monotone time, immutability), and
+   ``require_uniform``'s spacing rule, with a tolerance that admits 1% logger
+   jitter and epoch timestamps and an error that names the worst gap;
+ - a noise-free record with one row or a 10% block of rows deleted is a
+   TimeSeries, fits raw to ``c`` within 1e-9 relative on the gradient test,
+   and refuses SG smoothing with the error that names its gap;
  - the analytic Jacobian, ``ExponentialStepModel.jacobian_row``, at its
    boundary values and against central finite differences over random
    draws, bit for bit the closed form ``(e, 1 - e, -t (a - b) e)`` with
@@ -125,15 +128,15 @@ def test_time_series_requires_strictly_increasing_time():
 def test_time_series_rejects_nonuniform_spacing():
     t = np.array([0.0, 0.01, 0.021])  # second gap 5% long
     with pytest.raises(NonUniformSamplingError, match="between t = 0.01 and t = 0.021$"):
-        TimeSeries(t, np.zeros(3), 100.0)
+        TimeSeries(t, np.zeros(3), 100.0).require_uniform()
 
 
 def test_time_series_accepts_logger_jitter_up_to_one_percent():
     t = np.array([0.0, 0.01, 0.02009, 0.03])  # gaps 0.9% long and short
-    assert TimeSeries(t, np.zeros(4), 100.0).n == 4
+    assert TimeSeries(t, np.zeros(4), 100.0).require_uniform().n == 4
     t[2] = 0.02011
     with pytest.raises(NonUniformSamplingError, match="1.100e-02 relative"):
-        TimeSeries(t, np.zeros(4), 100.0)
+        TimeSeries(t, np.zeros(4), 100.0).require_uniform()
 
 
 def test_time_series_rejects_non_finite_values():
@@ -160,10 +163,26 @@ def test_time_series_rejects_a_time_span_that_overflows():
 def test_time_series_spacing_tolerance_scales_with_epoch_timestamps():
     for t0 in (1.7e9, 4e9):
         t = t0 + np.arange(3001) / 100.0  # rounding alone moves gaps by ~2e-5
-        assert TimeSeries(t, np.zeros(t.size), 100.0).n == 3001
+        assert TimeSeries(t, np.zeros(t.size), 100.0).require_uniform().n == 3001
         t[2] += 0.0005  # a 5% long gap is still caught
         with pytest.raises(NonUniformSamplingError):
-            TimeSeries(t, np.zeros(t.size), 100.0)
+            TimeSeries(t, np.zeros(t.size), 100.0).require_uniform()
+
+
+@pytest.mark.parametrize(
+    "rows, gap",
+    [([1500], "149.9 and t = 150.1"), (range(1000, 1300), "99.9 and t = 130.0")],
+    ids=["one-row", "block-10pct"],
+)
+def test_a_gapped_record_fits_raw_but_is_not_smoothed(rows, gap):
+    # LM runs on elapsed time, so only the smoother needs the uniform grid
+    full = clean_series(30.0, 25.0, 0.01, rate=10.0, duration=300.0)
+    ts = TimeSeries(np.delete(full.t, rows), np.delete(full.y, rows), 10.0)
+    rep = fit_series(ts)
+    assert rep.fit.c == pytest.approx(0.01, rel=1e-9)
+    assert rep.result.converged == "grad"
+    with pytest.raises(NonUniformSamplingError, match=f"between t = {gap}$"):
+        fit_series(ts, smoothing=SGConfig(3, 51))
 
 
 def test_time_series_arrays_are_frozen_copies():
