@@ -20,8 +20,9 @@ from .errors import (
     ThermofitError,
 )
 from .io import parse_csv, write_csv, write_overlay, write_series_and_overlay
-from .model import FitParams, ProcessParams, DISCRETIZATION_METHODS, discretize
-from .pipeline import FitReport, TimeSeries, fit_series
+from .model import (FitParams, ProcessParams, TimeSeries, DISCRETIZATION_METHODS,
+                    discretize)
+from .pipeline import FitReport, fit_series
 from .sgolay import SGConfig, sg_smooth
 from .solver import LMConfig
 from .synth import SynthSpec, generate

@@ -18,7 +18,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import CsvFormatError, NonMonotoneTimeError
-from .pipeline import TimeSeries
+from .model import TimeSeries
 
 __all__ = ["SERIES_HEADER", "OVERLAY_HEADER", "parse_csv", "write_csv", "write_overlay",
            "write_series_and_overlay"]

@@ -11,15 +11,16 @@ whose unit-step response is the three-parameter exponential
 
 with ``a = f(0)``, ``b = f(infinity)`` and ``c = 1 / tau``.
 
-Units are degrees Celsius and seconds throughout.
+``TimeSeries`` holds a measured record; units are degrees Celsius and seconds throughout.
 """
 
+import math
 from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
 
-from .errors import (DataLengthError, InvalidParameterError,
+from .errors import (DataLengthError, InvalidParameterError, NonUniformSamplingError,
                      UnstableDiscretizationError)
 
 __all__ = [
@@ -27,6 +28,7 @@ __all__ = [
     "ProcessParams",
     "FitParams",
     "DiscreteModel",
+    "TimeSeries",
     "ode_rhs",
     "derive_process_params",
     "process_to_fit",
@@ -174,6 +176,63 @@ class DiscreteModel:
         the pole is stored rounded to float64, for ``tau / Ts >> 1`` this
         differs from K by up to about ``eps * tau / Ts`` relative."""
         return sum(self.num) / sum(self.den)
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a = np.array(a, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True)
+class TimeSeries:
+    """Temperature record, on any spacing (:meth:`require_uniform` tests it).
+
+    ``t`` in seconds (strictly increasing, with a span finite in float64),
+    ``y`` in degC, both finite; ``rate`` the nominal sampling rate in Hz
+    (positive, with ``rate`` and ``1/rate`` finite).  Arrays are copied and frozen.
+    """
+
+    t: np.ndarray
+    y: np.ndarray
+    rate: float
+
+    def __post_init__(self):
+        t, y = _readonly(self.t), _readonly(self.y)
+        if t.ndim != 1 or y.ndim != 1 or t.size != y.size:
+            raise DataLengthError("t and y must be 1-d arrays of equal length")
+        if t.size < 2:
+            raise DataLengthError("a series needs at least 2 samples")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
+            raise InvalidParameterError("t and y must be finite")
+        lo, hi = float(t.min()), float(t.max())
+        if not math.isfinite(hi - lo):  # Python floats overflow without a warning
+            raise InvalidParameterError(f"time span {lo!r} to {hi!r} overflows float64")
+        if not (0 < self.rate < math.inf and 1 / float(self.rate) < math.inf):
+            raise InvalidParameterError("rate and 1/rate must be positive and finite")
+        if np.any(np.diff(t) <= 0):
+            raise InvalidParameterError("time must be strictly increasing")
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "y", y)
+
+    @property
+    def n(self) -> int:
+        return self.t.size
+
+    def require_uniform(self) -> "TimeSeries":
+        """This series if each spacing is within 1% of ``1/rate`` (logger jitter) or
+        four float spacings of max ``|t|`` (epoch times); else NonUniformSamplingError."""
+        t, nominal = self.t, 1.0 / self.rate
+        dt = np.diff(t)
+        i = int(np.argmax(np.abs(dt - nominal)))
+        worst = abs(float(dt[i]) - nominal) / nominal
+        tol = max(1e-2, 4.0 * float(np.spacing(max(-t[0], t[-1]))) / nominal)
+        if worst > tol:
+            raise NonUniformSamplingError(
+                f"sample spacing deviates from 1/rate by {worst:.3e} relative (tolerance"
+                f" {tol:.3g}) between t = {float(t[i])!r} and t = {float(t[i + 1])!r}"
+            )
+        return self
 
 
 def ode_rhs(p: PhysicalParams, temp: float, volts: float) -> float:

@@ -1,8 +1,8 @@
 """End-to-end identification of a measured step response.
 
-Fits the exponential step-response model (``ExponentialStepModel``)
-to a measured record: optional smoothing, data-driven starting values, the
-solver run, fit statistics and the conversion back to process parameters.
+Fits the exponential step-response model (``ExponentialStepModel``) to a
+``model.TimeSeries`` record: optional smoothing, data-driven starting values,
+the solver run, fit statistics and the conversion back to process parameters.
 """
 
 import math
@@ -11,13 +11,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (DataLengthError, FlatSeriesError, InvalidParameterError,
-                     NonUniformSamplingError, SingularEquationsError)
-from .model import FitParams, ProcessParams, fit_to_process, step_response
+                     SingularEquationsError)
+from .model import (FitParams, ProcessParams, TimeSeries, _readonly, fit_to_process,
+                    step_response)
 from .sgolay import SGConfig, sg_smooth
-from .solver import FitResult, LMConfig, ResidualModel, Weights, _readonly, lm_fit
+from .solver import FitResult, LMConfig, ResidualModel, Weights, lm_fit
 
 __all__ = [
-    "TimeSeries",
     "FitReport",
     "ExponentialStepModel",
     "initial_guess",
@@ -27,57 +27,6 @@ __all__ = [
 
 # Fraction of a step completed after one time constant: 1 - exp(-1).
 _STEP_FRACTION = 0.6321
-
-
-@dataclass(frozen=True)
-class TimeSeries:
-    """Temperature record, on any spacing (:meth:`require_uniform` tests it).
-
-    ``t`` in seconds (strictly increasing, with a span finite in float64),
-    ``y`` in degC, both finite; ``rate`` the nominal sampling rate in Hz
-    (positive, with ``rate`` and ``1/rate`` finite).  Arrays are copied and frozen.
-    """
-
-    t: np.ndarray
-    y: np.ndarray
-    rate: float
-
-    def __post_init__(self):
-        t, y = _readonly(self.t), _readonly(self.y)
-        if t.ndim != 1 or y.ndim != 1 or t.size != y.size:
-            raise DataLengthError("t and y must be 1-d arrays of equal length")
-        if t.size < 2:
-            raise DataLengthError("a series needs at least 2 samples")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
-            raise InvalidParameterError("t and y must be finite")
-        lo, hi = float(t.min()), float(t.max())
-        if not math.isfinite(hi - lo):  # Python floats overflow without a warning
-            raise InvalidParameterError(f"time span {lo!r} to {hi!r} overflows float64")
-        if not (0 < self.rate < math.inf and 1 / float(self.rate) < math.inf):
-            raise InvalidParameterError("rate and 1/rate must be positive and finite")
-        if np.any(np.diff(t) <= 0):
-            raise InvalidParameterError("time must be strictly increasing")
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "y", y)
-
-    @property
-    def n(self) -> int:
-        return self.t.size
-
-    def require_uniform(self) -> "TimeSeries":
-        """This series if each spacing is within 1% of ``1/rate`` (logger jitter) or
-        four float spacings of max ``|t|`` (epoch times); else NonUniformSamplingError."""
-        t, nominal = self.t, 1.0 / self.rate
-        dt = np.diff(t)
-        i = int(np.argmax(np.abs(dt - nominal)))
-        worst = abs(float(dt[i]) - nominal) / nominal
-        tol = max(1e-2, 4.0 * float(np.spacing(max(-t[0], t[-1]))) / nominal)
-        if worst > tol:
-            raise NonUniformSamplingError(
-                f"sample spacing deviates from 1/rate by {worst:.3e} relative (tolerance"
-                f" {tol:.3g}) between t = {float(t[i])!r} and t = {float(t[i + 1])!r}"
-            )
-        return self
 
 
 @np.errstate(over="ignore")  # an overflowing mean is raised below

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataLengthError, InvalidParameterError, SingularEquationsError
+from .model import _readonly
 
 __all__ = [
     "ResidualModel",
@@ -57,12 +58,6 @@ class ResidualModel(abc.ABC):
     @abc.abstractmethod
     def jacobian_row(self, t, p):
         """Partial derivatives d yhat / d p at (t, p)."""
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True)

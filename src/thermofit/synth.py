@@ -12,8 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError
-from .model import FitParams, step_response
-from .pipeline import TimeSeries
+from .model import FitParams, TimeSeries, step_response
 
 __all__ = ["SynthSpec", "generate"]
 

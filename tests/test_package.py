@@ -6,9 +6,12 @@ Proves:
  - ``import thermofit`` in a fresh interpreter loads neither NumPy nor a
    submodule; ``thermofit.io`` then resolves without an explicit import, and
    ``from thermofit import *`` binds exactly ``thermofit.__all__``;
- - ``import thermofit.model`` loads neither the solver nor the pipeline, and
-   ``ExponentialStepModel``, the solver binding of the model, is the
-   pipeline's;
+ - in a fresh interpreter, ``import thermofit.model`` or ``thermofit.sgolay``
+   loads no other module of the package than ``errors``, and ``solver``,
+   ``io`` or ``synth`` none but ``errors`` and ``model``, so reading or
+   generating a record loads neither the solver, the smoother nor the fit;
+ - ``ExponentialStepModel``, the solver binding of the model, is the
+   pipeline's, and ``thermofit.TimeSeries`` is ``model``'s;
  - ``np.exp`` is called in ``src/thermofit`` only inside
    ``model.step_response``, so the model is evaluated in one place;
  - ``NonUniformSamplingError`` is constructed only in
@@ -72,18 +75,37 @@ def test_import_loads_the_modules_on_first_use():
     subprocess.run([sys.executable, "-c", script], env=env, check=True)
 
 
+# the package modules one import of each module may load: the record and the
+# model sit below the solver, and reading or generating a record loads neither
+# the solver, the smoother nor the fit
+LAYERS = {
+    "model": {"errors"},
+    "sgolay": {"errors"},
+    "solver": {"errors", "model"},
+    "io": {"errors", "model"},
+    "synth": {"errors", "model"},
+}
+
+
 def test_the_model_module_imports_no_solver():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    for module, below in LAYERS.items():
+        script = f"""if True:
+            import sys
+            import thermofit.{module}
+            allowed = {{"thermofit." + m for m in {sorted(below)!r} + [{module!r}]}}
+            extra = {{m for m in sys.modules if m.startswith("thermofit.")}} - allowed
+            assert not extra, ({module!r}, sorted(extra))
+        """
+        subprocess.run([sys.executable, "-c", script], env=env, check=True)
     script = """if True:
         import sys
-        import thermofit.model
-        loaded = {"thermofit.solver", "thermofit.pipeline"} & sys.modules.keys()
-        assert not loaded, loaded
         import thermofit
         model = thermofit.ExponentialStepModel
         assert model is thermofit.pipeline.ExponentialStepModel
         assert model.__module__ == "thermofit.pipeline", model.__module__
+        assert thermofit.TimeSeries is sys.modules["thermofit.model"].TimeSeries
     """
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     subprocess.run([sys.executable, "-c", script], env=env, check=True)
 
 
@@ -125,7 +147,7 @@ def test_the_uniform_grid_is_required_in_one_place():
                                      getattr(call.func, "attr", None))
 
     owners = callers_in_source(named("NonUniformSamplingError"))
-    assert owners == ["pipeline.TimeSeries.require_uniform"]
+    assert owners == ["model.TimeSeries.require_uniform"]
     assert callers_in_source(named("require_uniform")) == ["io.parse_csv",
                                                            "pipeline.fit_series"]
 
