@@ -181,7 +181,7 @@ def fit_series(
     fitted = _readonly(step_response(fit, t))
     r2 = r_squared(target.y, fitted)
     # lm_fit itself raises on a cost that overflows
-    if not (np.isfinite(r2) and np.isfinite(fitted).all()):
+    if not np.isfinite(r2):
         raise SingularEquationsError(
             "fit overflows float64: R^2 or fitted values are not finite"
         )

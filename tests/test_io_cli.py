@@ -3,7 +3,9 @@
 Proves:
  - write/parse round trips are value-exact and infer the rate;
  - every malformed-input class gets its own error, with line numbers for
-   bad rows (blank lines counted) and non-increasing time; an empty file
+   bad rows (blank lines counted) and non-increasing time; a row of 1 or 3
+   fields is named by its field count, and a non-finite time exits 3 as a
+   bad row, not 4 as a series that is not finite; an empty file
    and a header-only file raise without a NumPy warning, non-UTF-8 text
    exits 3, and a time axis whose span or rate overflows float64 exits 4
    without a warning;
@@ -16,10 +18,11 @@ Proves:
  - all three writers give the same bytes with a forked child (one fork per
    call from 4 * _CHUNK_ROWS rows) and without ``os.fork``, around that
    size; without a fork each block is written before the next is
-   formatted; columns of unequal length raise CsvFormatError on both paths
-   before a file is opened or a child forked; a child that fails raises
-   OSError with its OSError's errno (ENOSPC on /dev/full) or 255 and makes
-   the CLI exit 3, and one killed by a signal is named;
+   formatted; columns of unequal length, or 2-d columns of one shape, raise
+   CsvFormatError on both paths before a file is opened or a child forked;
+   a child that fails raises OSError with its OSError's errno (ENOSPC on
+   /dev/full) or 255 and makes the CLI exit 3, and one killed by a signal
+   is named;
    a second thread or an ignored SIGCHLD keeps the write in one process,
    a fresh interpreter with BLAS pinned to one thread forks, once for all
    three files of a ``pipeline --output`` run, whose ``raw.csv`` parses back
@@ -181,20 +184,29 @@ def test_bad_header_names_line_one(tmp_path):
         parse_csv(path)
 
 
-def test_malformed_row_names_its_line(tmp_path):
+def test_malformed_row_names_its_line(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("time_s,temp_c\n0,25\n0.01,25.1\n0.02,abc\n")
     with pytest.raises(CsvFormatError, match="line 4"):
         parse_csv(path)
-    path.write_text("time_s,temp_c\n0,25\n0.01,25.1,7\n")
-    with pytest.raises(CsvFormatError, match="line 3"):
-        parse_csv(path)
+    for row, fields in (("0.01", 1), ("0.01,25.1,7", 3)):
+        path.write_text(f"time_s,temp_c\n0,25\n{row}\n")
+        with pytest.raises(CsvFormatError, match="^line 3: expected two comma-separated "
+                                                 f"fields, got {fields}$"):
+            parse_csv(path)
     path.write_text("time_s,temp_c\n0,25\n\n0.01,abc\n")  # blank line 3
     with pytest.raises(CsvFormatError, match="line 4"):
         parse_csv(path)
     path.write_text("time_s,temp_c\n0,25\n\n0.01,25.1\n0.02,nan\n")
     with pytest.raises(CsvFormatError, match="line 5: non-finite"):
         parse_csv(path)
+    # a non-finite time is a bad row (exit 3), not a series that is not finite (exit 4)
+    for rows, bad in ((["0,25", "nan,25.1", "0.02,25.2"], 3),
+                      (["0,25", "0.01,25.1", "inf,25.2"], 4)):
+        path.write_text("\n".join(["time_s,temp_c", *rows, ""]))
+        assert run_cli("fit", "--input", str(path)) == 3
+        assert capsys.readouterr().err == (
+            f"error: line {bad}: non-finite value in row {rows[bad - 2]!r}\n")
 
 
 def test_decreasing_time_names_line_seven(tmp_path):
@@ -434,6 +446,10 @@ def test_columns_of_unequal_length_are_rejected_on_both_paths(tmp_path, forks):
     with pytest.raises(CsvFormatError, match="share one length"):
         write_series_and_overlay(tmp_path / "raw.csv", tmp_path / "smoothed.csv",
                                  tmp_path / "overlay.csv", t, y, s[:-1], f)
+    with pytest.raises(CsvFormatError, match="must be 1-d and share one length"):
+        write_series_and_overlay(tmp_path / "raw.csv", tmp_path / "smoothed.csv",
+                                 tmp_path / "overlay.csv",
+                                 *(column[:, None] for column in (t, y, s, f)))
     assert forks == []
     assert list(tmp_path.iterdir()) == []
 

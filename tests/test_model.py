@@ -29,7 +29,8 @@ Proves, among others:
    the delay-equals-shift identity (for a delay given as an int, a whole
    float and a NumPy integer), and a delay longer than the input;
  - both simulators against their per-sample recurrences (the difference
-   equation, and RK4's four stages of the ODE);
+   equation, and RK4's four stages of the ODE), and their rejection of an
+   empty or 2-d input;
  - RK4 against the closed-form solution of the linear ODE, and its
    rejection of a step past the real-axis stability limit (about 2.785 tau);
  - RK4 finite and within 1e-12 of tustin on a box whose ``K * u``
@@ -508,8 +509,9 @@ def test_simulate_discrete_matches_difference_equation():
 def test_simulate_discrete_output_length_and_empty_input():
     m = discretize(ProcessParams(1.0, 10.0, 0.0), "backward", 1.0)
     assert simulate_discrete(m, np.ones(17), 0.0).size == 17
-    with pytest.raises(DataLengthError):
-        simulate_discrete(m, [], 0.0)
+    for bad in ([], np.ones((17, 1))):
+        with pytest.raises(DataLengthError, match="non-empty 1-d"):
+            simulate_discrete(m, bad, 0.0)
 
 
 def test_discrete_step_converges_to_continuous():
@@ -606,8 +608,9 @@ def test_simulate_continuous_rejects_steps_past_rk4_stability():
 def test_simulate_continuous_rejects_bad_inputs():
     with pytest.raises(InvalidParameterError):
         simulate_continuous(BOX, np.ones(5), 25.0, 0.0)
-    with pytest.raises(DataLengthError):
-        simulate_continuous(BOX, [], 25.0, 1.0)
+    for bad in ([], np.ones((5, 1))):
+        with pytest.raises(DataLengthError, match="non-empty 1-d"):
+            simulate_continuous(BOX, bad, 25.0, 1.0)
     # rho*cp overflows, so tau would be inf and the output NaN
     with pytest.raises(InvalidParameterError, match="rho \\* cp"):
         simulate_continuous(PhysicalParams(1e300, 1e-10, 1e-10, 1e300, 1e300, 20.0),

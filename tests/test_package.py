@@ -2,7 +2,8 @@
 
 Proves:
  - ``thermofit.__all__`` is the modules' ``__all__`` lists joined, without
-   duplicates, and each name is the object its defining module binds;
+   duplicates, and each name is the object its defining module binds; a
+   name no module binds is an AttributeError, so ``hasattr`` is False;
  - ``import thermofit`` in a fresh interpreter loads neither NumPy nor a
    submodule; ``thermofit.io`` then resolves without an explicit import, and
    ``from thermofit import *`` binds exactly ``thermofit.__all__``;
@@ -57,6 +58,13 @@ def test_package_names_are_the_module_objects():
     for module in MODULES:
         for name in module.__all__:
             assert getattr(thermofit, name) is getattr(module, name), name
+
+
+def test_an_unknown_package_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        thermofit.no_such_name
+    assert not hasattr(thermofit, "no_such_name")
+    assert getattr(thermofit, "no_such_name", None) is None
 
 
 def test_import_loads_the_modules_on_first_use():

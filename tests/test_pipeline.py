@@ -2,10 +2,10 @@
 fit statistics and the end-to-end fit.
 
 Proves:
- - TimeSeries invariants (length, finite values, a time span, a rate and
-   1/rate finite in float64, monotone time, immutability), and
-   ``require_uniform``'s spacing rule, with a tolerance that admits 1% logger
-   jitter and epoch timestamps and an error that names the worst gap;
+ - TimeSeries invariants (1-d columns of one length, finite values, a time
+   span, a rate and 1/rate finite in float64, monotone time, immutability),
+   and ``require_uniform``'s spacing rule, with a tolerance that admits 1%
+   logger jitter and epoch timestamps and an error that names the worst gap;
  - a noise-free record with one row or a 10% block of rows deleted is a
    TimeSeries, fits raw to ``c`` within 1e-9 relative on the gradient test,
    and refuses SG smoothing with the error that names its gap;
@@ -19,7 +19,8 @@ Proves:
    non-finite rate;
  - starting-value quality on clean falling and rising curves, and the
    flat-series rejection;
- - R-squared point values and its rejection of a constant input and of one
+ - R-squared point values and its rejection of inputs that are not 1-d
+   arrays of one length of at least 2, of a constant input and of one
    whose total sum of squares underflows to zero;
  - round-trip identification (clean to machine accuracy, noisy within 2%),
    plus the sampling-rate, smoothing-neutrality and time-shift properties;
@@ -111,6 +112,10 @@ def test_time_series_validates_lengths_and_rate():
         TimeSeries(np.array([0.0]), np.array([1.0]), 1.0)
     with pytest.raises(DataLengthError):
         TimeSeries(np.array([0.0, 1.0]), np.array([1.0]), 1.0)
+    t, y = np.arange(3.0), np.zeros(3)
+    for t2, y2 in ((t[:, None], y), (t, y[:, None])):  # (n, 1) columns
+        with pytest.raises(DataLengthError, match="must be 1-d arrays"):
+            TimeSeries(t2, y2, 1.0)
     with pytest.raises(InvalidParameterError):
         TimeSeries(np.array([0.0, 1.0]), np.array([1.0, 2.0]), 0.0)
     # 1/rate overflows, so a spacing test against it would compare NaN
@@ -333,6 +338,10 @@ def test_r_squared_rejects_a_total_sum_of_squares_that_underflows():
 def test_r_squared_rejects_length_mismatch():
     with pytest.raises(DataLengthError):
         r_squared(np.arange(4.0), np.arange(5.0))
+    y2 = np.array([[1.0, 2.0], [3.0, 5.0]])
+    for y, yhat in ((y2, y2 + 1.0), ([1.0], [1.0]), ([], [])):  # 2-d, 1 and 0 samples
+        with pytest.raises(DataLengthError, match="equal length >= 2"):
+            r_squared(y, yhat)
 
 
 # --------------------------------------------------------------- fit_series

@@ -34,7 +34,9 @@ Proves:
    that error (hypothesis);
  - the validator flags a sign-flipped Jacobian column with deviation 2
    and passes correct Jacobians at finite-difference accuracy; it rejects
-   empty abscissas and non-finite parameters.
+   empty or 2-d abscissas and non-finite parameters with its own messages;
+ - ``Weights`` rejects 2-d values, and ``lm_fit`` a 2-d time axis even when
+   the data share its shape.
 """
 
 import warnings
@@ -131,6 +133,8 @@ def test_weights_validation():
         Weights(np.array([1.0, -2.0]))
     with pytest.raises(InvalidParameterError):
         Weights(np.array([]))
+    with pytest.raises(InvalidParameterError, match="1-d"):
+        Weights(np.ones((3, 1)))
     np.testing.assert_allclose(
         Weights.from_sigma([0.5, 2.0]).values, [4.0, 0.25], rtol=1e-15
     )
@@ -403,6 +407,8 @@ def test_lm_fit_input_validation():
         lm_fit(LinearModel(), T_LIN, Y_LIN, Weights.unit(3), np.zeros(2))
     with pytest.raises(DataLengthError):  # fewer points than parameters
         lm_fit(LinearModel(), T_LIN[:1], Y_LIN[:1], None, np.zeros(2))
+    with pytest.raises(DataLengthError, match="1-d"):  # t and y of one (n, 1) shape
+        lm_fit(LinearModel(), T_LIN[:, None], Y_LIN[:, None], None, np.zeros(2))
 
 
 def test_result_arrays_are_frozen():
@@ -449,6 +455,11 @@ def test_validate_jacobian_input_validation():
     model = ExponentialStepModel()
     with pytest.raises(DataLengthError, match="non-empty"):
         validate_jacobian(model, np.array([]), np.array([30.0, 25.0, 0.01]))
+    with pytest.raises(DataLengthError, match="1-d"):
+        validate_jacobian(model, np.array([[0.0], [1.0]]), np.array([30.0, 25.0, 0.01]))
     for bad in (np.nan, np.inf):
         with pytest.raises(InvalidParameterError, match="finite"):
             validate_jacobian(model, np.array([0.0, 1.0]), np.array([30.0, 25.0, bad]))
+    # the validator's own message: FitParams would say "a must be finite"
+    with pytest.raises(InvalidParameterError, match="^p must be finite$"):
+        validate_jacobian(model, np.array([0.0, 1.0]), np.array([np.nan, 25.0, 0.1]))
