@@ -1,7 +1,7 @@
 """Command-line front end; ``build_parser`` declares the commands.
 
-Exit codes: 0 success, 2 usage, 3 file/CSV errors and a stdout that cannot be
-written (a closed pipe), 4 invalid data or configuration, 5 numerical failure.
+Exit codes: 0 success, 2 usage, 3 an ``OSError`` (a closed stdout included), and
+a ``ThermofitError``'s ``exit_code`` (see ``errors``).
 """
 
 import argparse
@@ -13,12 +13,7 @@ import sys
 if not {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
     os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before NumPy loads; lets io's writer fork
 
-from .errors import (
-    CsvFormatError,
-    NonUniformSamplingError,
-    SingularEquationsError,
-    ThermofitError,
-)
+from .errors import ThermofitError
 from .io import parse_csv, write_csv, write_overlay, write_series_and_overlay
 from .model import (FitParams, ProcessParams, TimeSeries, DISCRETIZATION_METHODS,
                     discretize)
@@ -216,24 +211,15 @@ def _cmd_pipeline(args) -> dict:
     return d
 
 
-# The first match wins, so the subclasses of ThermofitError come before it.
-_EXIT_CODES = (
-    ((OSError, CsvFormatError, NonUniformSamplingError), 3),
-    ((SingularEquationsError,), 5),
-    ((ThermofitError,), 4),
-)
-_HANDLED = tuple(cls for classes, _ in _EXIT_CODES for cls in classes)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         report = args.handler(args)  # None from the commands that only write files
         if report is not None:  # flushed here, so a closed stdout exits 3
             print(_render(report, args.format), flush=True)
-    except _HANDLED as exc:
+    except (OSError, ThermofitError) as exc:
         print(f"error: {exc}", file=sys.stderr)  # line-buffered, so run() loses none
-        return next(code for classes, code in _EXIT_CODES if isinstance(exc, classes))
+        return getattr(exc, "exit_code", 3)
     return 0
 
 

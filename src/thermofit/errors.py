@@ -1,8 +1,8 @@
 """Exception hierarchy.
 
 Everything raised on purpose by this package derives from ThermofitError,
-so callers (and the CLI exit-code mapping) can tell toolkit errors from
-genuine bugs.
+so callers can tell toolkit errors from genuine bugs. Each class's
+``exit_code`` is the CLI's exit status for it, inherited unless overridden.
 """
 
 __all__ = [
@@ -21,6 +21,8 @@ __all__ = [
 
 class ThermofitError(ValueError):
     """Base class for all toolkit errors."""
+
+    exit_code = 4  # invalid data or configuration
 
 
 class InvalidParameterError(ThermofitError):
@@ -49,10 +51,14 @@ class SingularEquationsError(ThermofitError):
     """The damped normal equations are singular or indefinite, or a level, cost
     or fit overflows float64."""
 
+    exit_code = 5  # numerical failure
+
 
 class CsvFormatError(ThermofitError):
     """Malformed CSV input; carries the offending 1-based line number when
     one can be named."""
+
+    exit_code = 3  # a file the CLI cannot read, as an OSError
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
@@ -67,3 +73,5 @@ class NonMonotoneTimeError(CsvFormatError):
 
 class NonUniformSamplingError(ThermofitError):
     """Sample spacing deviates from the nominal rate beyond tolerance."""
+
+    exit_code = 3

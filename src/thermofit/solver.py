@@ -188,7 +188,7 @@ def lm_fit(
     ``callback``, when given, is invoked as ``callback(k, p, cost, lam)``
     after each accepted step ``k`` (1-based).
     """
-    p = np.asarray(p0, dtype=float).copy()
+    p = np.asarray(p0, dtype=float)
     if not np.all(np.isfinite(p)):
         raise InvalidParameterError("initial parameters must be finite")
     t = np.asarray(t, dtype=float)

@@ -76,6 +76,9 @@ Proves:
    entry, print the same JSON as ``pipeline``'s ``report.json``; a stdout
    whose pipe has no reader exits 3 with one ``error:`` line naming the
    broken pipe, in either format, and no ``Exception ignored`` or traceback;
+ - ``main`` exits with the ``exit_code`` of each class in ``errors.__all__``
+   (3, 4 or 5), 3 on any ``OSError``, and lets a bare ``ValueError``
+   propagate;
  - every ``thermofit`` line of README's CLI block runs and exits 0;
  - numeric options take negative numbers in scientific notation
    (``--gain -1e-3``, ``--b0 -2e1``), and ``-inf``, ``-Infinity`` and ``-nan``
@@ -107,6 +110,7 @@ import numpy as np
 import pytest
 
 import thermofit.cli
+import thermofit.errors
 from thermofit import (
     CsvFormatError,
     FitParams,
@@ -950,6 +954,38 @@ def test_overflowing_filter_design_exit_code(tmp_path, command):
     assert proc.returncode == 4
     assert "numerically singular for order=299, window=301" in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
+
+
+EXIT_CODES = {
+    "ThermofitError": 4, "InvalidParameterError": 4, "UnstableDiscretizationError": 4,
+    "FilterConfigError": 4, "DataLengthError": 4, "FlatSeriesError": 4,
+    "SingularEquationsError": 5,
+    "CsvFormatError": 3, "NonMonotoneTimeError": 3, "NonUniformSamplingError": 3,
+}
+
+
+@pytest.mark.parametrize("exc", [
+    *(getattr(thermofit.errors, name)("boom") for name in thermofit.errors.__all__),
+    OSError("boom"), BrokenPipeError(errno.EPIPE, "boom"),
+], ids=lambda exc: type(exc).__name__)
+def test_each_error_class_exits_with_its_code(monkeypatch, capsys, exc):
+    def failing(args):
+        raise exc
+
+    monkeypatch.setattr(thermofit.cli, "_cmd_fit", failing)
+    code = main(["fit", "--input", "x"])
+    want = 3 if isinstance(exc, OSError) else EXIT_CODES[type(exc).__name__]
+    assert code == want
+    assert capsys.readouterr().err == f"error: {exc}\n"
+
+
+def test_an_error_outside_the_hierarchy_propagates(monkeypatch):
+    def failing(args):
+        raise ValueError("a bug")
+
+    monkeypatch.setattr(thermofit.cli, "_cmd_fit", failing)
+    with pytest.raises(ValueError, match="a bug"):
+        main(["fit", "--input", "x"])
 
 
 def test_fit_command_on_degenerate_csv_fails_cleanly(tmp_path, capsys):

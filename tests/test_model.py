@@ -13,7 +13,7 @@ Proves, among others:
    physical parameters either raise the typed error or lump to a finite
    process, and ``ode_rhs`` never raises;
  - step response boundary values, closed-form point checks, monotonicity
-   and boundedness;
+   and boundedness, and a Python ``float`` for a scalar time;
  - the three discrete realizations (poles and input gains), their unit DC
    gain, the unstable-forward rejection, the rejection of a pole that
    rounds to 1 or a gain or delay that overflows, and first/second-order
@@ -270,6 +270,7 @@ def test_step_response_asymptote():
 
 def test_step_response_at_one_time_constant():
     val = step_response(FitParams(30.0, 25.0, 0.01), 100.0)
+    assert type(val) is float
     assert val == pytest.approx(5.0 * np.exp(-1.0) + 25.0, rel=1e-14)
     assert val == pytest.approx(26.83940, abs=5e-6)
 

@@ -13,7 +13,8 @@ Proves:
    boundary values and against central finite differences over random
    draws, bit for bit the closed form ``(e, 1 - e, -t (a - b) e)`` with
    ``e = exp(-c t)`` on the slow regime's grid (also where ``c t``
-   overflows and for a negative rate) and at a scalar ``t = 0``, and that
+   overflows, for a negative rate and where only the rate column
+   overflows) and at a scalar ``t = 0``, and that
    the solver model predicts through ``step_response`` and rejects, in both
    methods, negative times with ``step_response``'s one message and a
    non-finite rate;
@@ -37,8 +38,9 @@ Proves:
    and ``se_c * k`` to 1e-9;
  - constant weights give the unweighted standard errors; the correlation
    matrix is exactly symmetric, with a diagonal of exactly 1 and entries in
-   [-1, 1]; a record cut at half a time constant warns that the SE of ``c``
-   is over 10% of ``|c|``, and the slow regime does not;
+   [-1, 1], also on a short record whose ``b``-``c`` ratio rounds past 1; a
+   record cut at half a time constant warns that the SE of ``c`` is over 10%
+   of ``|c|``, and the slow regime does not;
  - the fit runs on elapsed time: any clock origin gives the same fit, and
    ``FitReport.fitted`` is the read-only model the R-squared was taken on;
  - the fits of the default and slow-regime ``pipeline`` records, SG(3, 901)
@@ -246,8 +248,9 @@ def test_solver_model_is_step_response_and_its_jacobian():
     (np.arange(75001) / 100, 0.004),  # the slow regime's grid
     (np.arange(75001) / 100, 1e308),  # c t overflows to inf from t = 2 on
     (np.arange(75001) / 100, -0.01),
+    (np.array([0.0, 10.0]), -70.9),  # exp(709) is finite, -t (a - b) e is not
     (0.0, 0.004),
-], ids=["slow", "overflow", "negative-rate", "scalar"])
+], ids=["slow", "overflow", "negative-rate", "rate-column-overflow", "scalar"])
 def test_jacobian_is_the_closed_form_bit_for_bit(t, c):
     # the reference: the closed form, with its own exponential
     t_arr = np.asarray(t, dtype=float)
@@ -458,6 +461,20 @@ def test_correlation_is_a_correlation_matrix(smoothing):
     corr = np.array(fit_series(ts, smoothing=smoothing).stats["correlation"])
     assert np.array_equal(corr, corr.T)
     assert np.all(np.diag(corr) == 1.0)
+    assert np.all(np.abs(corr) <= 1.0)
+
+
+def test_correlation_is_clipped_where_rounding_passes_1():
+    # 20 samples at 1 Hz of (30, 25, 1.7e-4) plus noise of sigma 0.011: record 1270
+    # of those drawn from default_rng(0) as n, c, sigma, then the noise. It fits to
+    # b ~ a and c ~ 3e-9, where cov_bc / (se_b se_c) rounds to 1.0000000000000016
+    y = [29.9842803314033, 29.986708615337754, 30.000447109450075, 30.00468175248731,
+         29.97699096616957, 29.97798383492316, 29.982095636922313, 30.004993106811888,
+         29.998547387753696, 30.003949101139256, 29.990027591844328, 29.99524385949132,
+         29.979940702717055, 29.978953218495686, 29.981921030615283, 29.98386200215134,
+         30.011773153155925, 29.992672527319552, 29.97215307646052, 29.977731314745736]
+    corr = np.array(fit_series(TimeSeries(np.arange(20.0), np.array(y), 1.0))
+                    .stats["correlation"])
     assert np.all(np.abs(corr) <= 1.0)
 
 

@@ -12,6 +12,10 @@ that the starting guess and the fit (raw and smoothed) return finite
 values or raise a ``ThermofitError``, and that no step of them, the
 smoother included, emits a NumPy warning.
 
+And, over ROADMAP item 18's domain of noisy step records (README states it),
+that ``fit_series``, raw and with SG(3, 51) where n >= 102, returns a finite
+``(a, b, c)`` or raises an error from ``DOMAIN_ERRORS``.
+
 And, of the starting guess alone: on monotone noise-free step records its
 ``c`` is the first-crossing rule's ``1 / t63`` bit for bit, and on any finite
 record of at least 10 samples it returns a finite positive ``c`` or raises
@@ -34,8 +38,9 @@ import numpy as np
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from thermofit import (FitParams, SGConfig, SynthSpec, ThermofitError, TimeSeries,
-                       fit_series, generate, initial_guess, sg_smooth, step_response)
+from thermofit import (FitParams, SGConfig, SingularEquationsError, SynthSpec,
+                       ThermofitError, TimeSeries, fit_series, generate, initial_guess,
+                       sg_smooth, step_response)
 
 from helpers import residual_variance, standard_errors
 
@@ -162,3 +167,45 @@ def test_start_is_a_finite_positive_rate_or_a_typed_error(y):
     except ThermofitError:
         return
     assert math.isfinite(g.c) and g.c > 0
+
+
+# what a fit on a record of ROADMAP item 18's domain may raise: equations that the
+# record leaves singular (none has been seen)
+DOMAIN_ERRORS = (SingularEquationsError,)
+SG_51 = SGConfig(order=3, window=51)
+
+
+def log_uniform(lo, hi):
+    return st.floats(min_value=math.log10(lo), max_value=math.log10(hi)).map(
+        lambda e: 10.0**e)
+
+
+@st.composite
+def domain_records(draw):
+    """A noisy step record from the stated domain: levels in [-50, 150], at least 1
+    apart, n log-uniform in 20-20,000, rate log-uniform in 0.1-1000 Hz, a span of
+    0.5-8 time constants, noise sigma up to 5% of the step, a clock origin of 0 or an
+    epoch near 1e9, and the values unrounded or printed to 0.1 or 0.0625."""
+    level = st.floats(min_value=-50.0, max_value=150.0)
+    a = draw(level)
+    b = draw(level.filter(lambda b: abs(b - a) >= 1))
+    n = round(draw(log_uniform(20, 2e4)))
+    rate = draw(log_uniform(0.1, 1e3))
+    span = draw(st.floats(min_value=0.5, max_value=8.0))
+    sigma = abs(b - a) * draw(st.floats(min_value=0.0, max_value=0.05))
+    t0 = draw(st.sampled_from((0.0, 1e9))) * draw(st.floats(min_value=1.0, max_value=1.7))
+    q = draw(st.sampled_from((None, 0.1, 0.0625)))
+    t = np.arange(n) / rate
+    y = step_response(FitParams(a, b, span / t[-1]), t)
+    y = y + np.random.Generator(np.random.Philox(draw(seeds))).normal(0.0, sigma, n)
+    return TimeSeries(t0 + t, y if q is None else np.round(y / q) * q, rate)
+
+
+@given(ts=domain_records())
+def test_a_domain_record_fits_finite_or_fails_with_a_stated_error(ts):
+    for smoothing in (None, SG_51) if ts.n >= 2 * SG_51.window else (None,):
+        try:
+            fit = fit_series(ts, smoothing=smoothing).fit
+        except DOMAIN_ERRORS:
+            continue
+        assert np.isfinite([fit.a, fit.b, fit.c]).all()

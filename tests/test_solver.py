@@ -11,7 +11,8 @@ Proves:
  - the full fit recovers exponential parameters from exact data to 1e-8
    with gradient convergence, and reproduces ordinary least squares when
    the damping is pinned at zero;
- - accepted costs decrease strictly; rejected steps only grow the damping,
+ - accepted costs decrease strictly; a callback that writes into the point
+   it is passed leaves the fit unchanged; rejected steps only grow the damping,
    and one rejected from zero damping turns it on, so an undamped start on
    a noisy 30 s record stops before the cap at the default fit's ``c``;
  - a fit restarted at its own solution stops on the step test, not at the
@@ -237,6 +238,21 @@ def test_accepted_costs_strictly_decrease():
     assert costs[0] < initial
     assert all(a > b for a, b in zip(costs, costs[1:]))
     assert res.cost == costs[-1]
+
+
+def test_a_callback_that_writes_into_its_point_leaves_the_fit_unchanged():
+    model = ExponentialStepModel()
+    t = np.arange(0.0, 200.0, 0.1)
+    y = step_response(FitParams(50.0, 20.0, 0.05), t)
+    p0 = np.array([40.0, 30.0, 0.2])
+
+    def scribble(k, p, cost, lam):
+        p[:] = 0.0
+
+    ref = lm_fit(model, t, y, None, p0)
+    res = lm_fit(model, t, y, None, p0, callback=scribble)
+    assert res.accepted_steps > 0
+    assert np.array_equal(res.params, ref.params) and res.cost == ref.cost
 
 
 def test_rejections_are_counted_and_grow_lambda():
