@@ -44,8 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit = sub.add_parser("fit", help="fit a measured CSV")
     fit.add_argument("--input", required=True, help="CSV path to read")
     fit.add_argument("--output", help="overlay CSV path (t, raw, smoothed, fitted)")
-    _add_sg_opts(fit)
-    _add_lm_opts(fit)
+    _add_fit_opts(fit)
     fit.add_argument("--p0", nargs=3, type=float, metavar=("A", "B", "C"),
                      help="starting (a, b, c) in place of the data-driven guess")
     _add_format_opt(fit)
@@ -67,8 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     pipe.add_argument(
         "--output", help="directory for raw/smoothed/overlay CSVs and report.json"
     )
-    _add_sg_opts(pipe, default=901)
-    _add_lm_opts(pipe)
+    _add_fit_opts(pipe, default=901)
     _add_format_opt(pipe)
     pipe.set_defaults(handler=_cmd_pipeline)
 
@@ -95,7 +93,8 @@ def _add_sg_opts(sp, **window):
     sp.add_argument("--window", type=int, **{"help": help_, **window})
 
 
-def _add_lm_opts(sp):
+def _add_fit_opts(sp, **window):
+    _add_sg_opts(sp, **window)
     lm = LMConfig()
     sp.add_argument("--lambda0", type=float, default=lm.lambda0, help="initial damping")
     sp.add_argument("--max-iter", type=int, default=lm.max_iter, help="iteration cap")
@@ -109,16 +108,12 @@ def _add_format_opt(sp):
     )
 
 
-def _lm_config(args) -> LMConfig:
-    return LMConfig(
+def _fit_settings(args) -> dict:
+    smoothing = SGConfig(order=args.order, window=args.window) if args.window else None
+    cfg = LMConfig(
         lambda0=args.lambda0, max_iter=args.max_iter, tol_grad=args.tol_grad
     )
-
-
-def _smoothing(args) -> SGConfig | None:
-    if args.window:
-        return SGConfig(order=args.order, window=args.window)
-    return None
+    return {"smoothing": smoothing, "cfg": cfg}
 
 
 def report_dict(report: FitReport) -> dict:
@@ -171,9 +166,9 @@ def _cmd_smooth(args) -> None:
 
 def _cmd_fit(args) -> dict:
     p0 = FitParams(*args.p0) if args.p0 else None  # validate before reading the file
-    smoothing, cfg = _smoothing(args), _lm_config(args)
+    settings = _fit_settings(args)
     ts = parse_csv(args.input)
-    report = fit_series(ts, smoothing=smoothing, cfg=cfg, p0=p0)
+    report = fit_series(ts, **settings, p0=p0)
     if args.output:
         write_overlay(args.output, ts.t, ts.y, report.target, report.fitted)
     return report_dict(report)
@@ -196,11 +191,11 @@ def _cmd_discretize(args) -> dict:
 
 
 def _cmd_pipeline(args) -> dict:
-    spec, smoothing, cfg = _synth_spec(args), _smoothing(args), _lm_config(args)
+    spec, settings = _synth_spec(args), _fit_settings(args)
     ts = generate(spec)
     if args.output:  # a bad --output exits 3 before a fit
         os.makedirs(args.output, exist_ok=True)
-    report = fit_series(ts, smoothing=smoothing, cfg=cfg)
+    report = fit_series(ts, **settings)
     d = report_dict(report)
     if args.output:
         out = lambda name: os.path.join(args.output, name)

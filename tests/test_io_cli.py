@@ -41,6 +41,10 @@ Proves:
    (default and slow-regime records);
  - ``pipeline --output`` reads no file back (``parse_csv`` is not called),
    and a run whose fit fails (exit 4) leaves its ``--output`` directory empty;
+ - ``pipeline`` is ``generate`` then ``fit``: ``fit`` on its ``raw.csv`` with
+   the same window and solver options prints its ``report.json`` and writes
+   its ``overlay.csv`` byte for byte (defaults, raw with ``--max-iter 3``,
+   every fit option set, and a window over half the record);
  - records with epoch timestamps survive the CSV round trip and fit like
    the same record at t = 0, through the library and the ``fit`` command;
  - each CLI command produces re-parseable artifacts and the documented
@@ -62,9 +66,9 @@ Proves:
    of one value exits 0 with a null ``resolution`` and no range warning;
  - ``fit`` takes its start as one ``--p0 A B C``: a partial ``--p0`` and
    the generator's ``--a0/--b0/--c0`` are usage errors; a non-finite start
-   or a bad solver setting exits 4 before the input is read, and a bad
-   ``pipeline`` window or solver setting exits 4 before any file is
-   written;
+   or a bad window, order or solver setting exits 4 before the input is
+   read, and a bad ``pipeline`` window or solver setting exits 4 before any
+   file is written; both check the window before the solver settings;
  - a finite record near the float64 limit fails with one ``error:`` line
    and no NumPy warning: ``fit`` exits 5 with and without ``--p0`` and on
    finite levels whose step overflows, ``smooth`` exits 4, and a ``fit``
@@ -854,7 +858,12 @@ def test_fit_command_checks_the_start_before_reading_the_file(tmp_path, capsys):
     (("--max-iter", "0"), "max_iter must be at least 1"),
     (("--tol-grad", "nan"), "tol_grad must be positive and finite"),
     (("--lambda0", "-1"), "lambda0 must be non-negative and finite"),
-], ids=["max-iter-0", "tol-grad-nan", "lambda0-negative"])
+    (("--window", "4"), "window must be an odd integer >= 3, got 4"),
+    (("--order", "5", "--window", "5"),
+     "order must satisfy 0 <= order < window, got order=5, window=5"),
+    (("--window", "4", "--max-iter", "0"), "window must be an odd integer >= 3, got 4"),
+], ids=["max-iter-0", "tol-grad-nan", "lambda0-negative", "even-window",
+        "order-not-below-window", "window-before-max-iter"])
 def test_fit_command_checks_the_solver_settings_before_reading_the_file(
         tmp_path, capsys, argv, message):
     code = run_cli("fit", "--input", str(tmp_path / "missing.csv"), *argv)
@@ -1249,7 +1258,8 @@ def test_generator_setting_it_cannot_honour_exit_code(tmp_path, capsys, command,
     (("--window", "4"), "window must be an odd integer >= 3, got 4"),
     (("--max-iter", "0"), "max_iter must be at least 1"),
     (("--tol-grad", "nan"), "tol_grad must be positive and finite"),
-], ids=["even-window", "max-iter-0", "tol-grad-nan"])
+    (("--window", "4", "--max-iter", "0"), "window must be an odd integer >= 3, got 4"),
+], ids=["even-window", "max-iter-0", "tol-grad-nan", "window-before-max-iter"])
 def test_pipeline_checks_every_setting_before_writing(tmp_path, capsys, argv, message):
     out = tmp_path / "d"
     code = run_cli("pipeline", "--duration", "5", "--output", str(out), *argv)
@@ -1422,6 +1432,28 @@ def test_pipeline_report_does_not_depend_on_output(tmp_path, capsys, argv):
     assert run_cli("pipeline", "--format", "json", "--output", str(tmp_path), *argv) == 0
     assert capsys.readouterr().out == without
     assert (tmp_path / "report.json").read_text() == without
+
+
+_FIT_OPTS = ("--window", "51", "--order", "2", "--lambda0", "0", "--max-iter", "7",
+             "--tol-grad", "1e-6")
+
+
+@pytest.mark.parametrize("pipeline_argv, fit_argv", [
+    ((), ("--window", "901")),
+    (("--window", "0", "--max-iter", "3"), ("--window", "0", "--max-iter", "3")),
+    (_FIT_OPTS, _FIT_OPTS),
+    (("--duration", "20", "--rate", "10", "--window", "101"), ("--window", "101")),
+], ids=["default", "raw-max-iter-3", "every-fit-option", "window-over-half"])
+def test_pipeline_is_generate_then_fit(tmp_path, capsys, pipeline_argv, fit_argv):
+    d = tmp_path / "d"
+    assert run_cli("pipeline", "--output", str(d), "--format", "json",
+                   *pipeline_argv) == 0
+    capsys.readouterr()
+    overlay = tmp_path / "o.csv"
+    assert run_cli("fit", "--input", str(d / "raw.csv"), "--output", str(overlay),
+                   "--format", "json", *fit_argv) == 0
+    assert capsys.readouterr().out == (d / "report.json").read_text()
+    assert overlay.read_bytes() == (d / "overlay.csv").read_bytes()
 
 
 def test_pipeline_run_loads_neither_scipy_nor_numpy_ma(tmp_path):
