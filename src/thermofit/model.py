@@ -45,6 +45,12 @@ DISCRETIZATION_METHODS = tuple(_THETA)
 _BLOCK = 64  # samples per block of _recurrence
 
 
+def _require_finite(obj, *names: str) -> None:
+    for name in names:
+        if not np.isfinite(getattr(obj, name)):
+            raise InvalidParameterError(f"{name} must be finite")
+
+
 @dataclass(frozen=True)
 class PhysicalParams:
     """Raw physical constants of the heated box.  All are finite and all but
@@ -78,8 +84,7 @@ class PhysicalParams:
         for name in ("lamp_constant", "area", "heat_transfer_coeff", "rho", "cp"):
             if not 0 < getattr(self, name) < np.inf:
                 raise InvalidParameterError(f"{name} must be positive and finite")
-        if not np.isfinite(self.t_ambient):
-            raise InvalidParameterError("t_ambient must be finite")
+        _require_finite(self, "t_ambient")
         for x, y in (("area", "heat_transfer_coeff"), ("rho", "cp")):
             if not 0 < float(getattr(self, x)) * float(getattr(self, y)) < np.inf:
                 raise InvalidParameterError(
@@ -98,9 +103,7 @@ class ProcessParams:
     dead_time: float = 0.0
 
     def __post_init__(self):
-        for name in ("gain", "tau", "t_ambient", "dead_time"):
-            if not np.isfinite(getattr(self, name)):
-                raise InvalidParameterError(f"{name} must be finite")
+        _require_finite(self, "gain", "tau", "t_ambient", "dead_time")
         if not self.tau > 0:
             raise InvalidParameterError("tau must be positive")
         if self.dead_time < 0:
@@ -124,9 +127,7 @@ class FitParams:
     c: float
 
     def __post_init__(self):
-        for name in ("a", "b", "c"):
-            if not np.isfinite(getattr(self, name)):
-                raise InvalidParameterError(f"{name} must be finite")
+        _require_finite(self, "a", "b", "c")
 
 
 @dataclass(frozen=True)
@@ -329,10 +330,11 @@ def _recurrence(d: float, q: np.ndarray, y0: float) -> np.ndarray:
     """``y[0] = y0``, ``y[i+1] = y[i] + (d*y[i] + q[i])``, in blocks of B = 64.
 
     A block's response from a zero start, ``z``, is one product with the
-    Toeplitz matrix of pole powers; a scan carries the blocks' start ``s``,
-    which enters as ``s + pm1[k]*s`` with ``pm1[k] = expm1(k log1p(d))``:
-    this increment form keeps the digits that rounding ``1 + d`` loses near
-    pole 1.  B shrinks so that ``|1 + d|**B`` stays finite."""
+    Toeplitz matrix of pole powers, written into the output array; a scan
+    carries the blocks' start ``s``, added in place as ``s + pm1[k]*s`` with
+    ``pm1[k] = expm1(k log1p(d))`` (the sums of ``z + (s + pm1[k]*s)``, in
+    their order): this increment form keeps the digits that rounding ``1 + d``
+    loses near pole 1.  B shrinks so that ``|1 + d|**B`` stays finite."""
     pole, b = 1.0 + d, _BLOCK
     if abs(pole) > 1:
         b = int(np.clip(np.log(np.finfo(float).max) / np.log(abs(pole)), 1, b))
@@ -340,12 +342,17 @@ def _recurrence(d: float, q: np.ndarray, y0: float) -> np.ndarray:
     # for d <= -1, log1p(d) is not finite but 1 + d is exact
     pm1 = np.expm1(k * np.log1p(d)) if d > -1 else pole**k - 1.0
     blocks = np.concatenate([q, np.zeros(-q.size % b)]).reshape(-1, b)
-    z = blocks @ np.triu((1.0 + pm1)[np.abs(k[:b, None] - k[:b])])
+    toeplitz = np.triu((1.0 + pm1)[np.abs(k[:b, None] - k[:b])])
+    y = np.empty(blocks.size + 1)
+    y[0] = y0
+    z = np.matmul(blocks, toeplitz, out=y[1:].reshape(blocks.shape))
     grow = float(pm1[b])  # a block moves its start s to s + (grow*s + z[B-1])
     starts = accumulate(z[:-1, -1].tolist(), lambda s, z_end: s + (grow * s + z_end),
                         initial=float(y0))
     s = np.fromiter(starts, float)[:, None]
-    return np.concatenate([[float(y0)], (z + (s + pm1[1:] * s)).ravel()[: q.size]])
+    w = pm1[1:] * s
+    z += np.add(w, s, out=w)
+    return y[: q.size + 1]
 
 
 def simulate_discrete(m: DiscreteModel, inputs, initial_temp: float) -> np.ndarray:
@@ -358,8 +365,8 @@ def simulate_discrete(m: DiscreteModel, inputs, initial_temp: float) -> np.ndarr
     u = np.asarray(inputs, dtype=float)
     if u.ndim != 1 or u.size == 0:
         raise DataLengthError("input must be a non-empty 1-d sequence")
-    d = min(int(m.delay_samples), u.size)
-    u = np.concatenate([np.zeros(d), u[: u.size - d]])
+    if d := min(int(m.delay_samples), u.size):
+        u = np.concatenate([np.zeros(d), u[: u.size - d]])
     return _recurrence(m.pole - 1.0, np.convolve(u, m.num)[1 : u.size], initial_temp)
 
 
@@ -391,4 +398,5 @@ def simulate_continuous(
             f"RK4 unstable: sample_time={sample_time} is beyond about 2.785*tau "
             f"(tau={proc.tau})"
         )
-    return _recurrence(d, -d * p.t_ambient - (d * proc.gain) * u[:-1], initial_temp)
+    q = (d * proc.gain) * u[:-1]  # the forcing -d*t_ambient - d*K*u, built in q
+    return _recurrence(d, np.subtract(-d * p.t_ambient, q, out=q), initial_temp)

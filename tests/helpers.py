@@ -1,8 +1,11 @@
 """Shared test models for exercising the solver, the profile reference
 for where the exponential fit stops, the standard errors of a fit, the
-per-sample reference of the simulators' recurrence, the
+per-sample reference of the simulators' recurrence and the blocked form
+that concatenates its output (the bit-for-bit reference), the
 projection-matrix reference of the Savitzky-Golay smoother, and a corpus
 of records as temperature loggers write them."""
+
+from itertools import accumulate
 
 import numpy as np
 
@@ -15,6 +18,7 @@ from thermofit import (
     sg_projection,
     step_response,
 )
+from thermofit.model import _BLOCK
 
 
 class LinearModel(ResidualModel):
@@ -135,6 +139,27 @@ def sequential_recurrence(d: float, q: np.ndarray, y0: float) -> np.ndarray:
         yi += d * yi + qi
         y.append(yi)
     return np.array(y)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an unstable pole overflows
+def concatenated_recurrence(d: float, q: np.ndarray, y0: float) -> np.ndarray:
+    """The simulators' blocked recurrence with its output assembled by
+    ``np.concatenate`` from ``z + (s + pm1[k]*s)``: the bit-for-bit
+    reference for ``model._recurrence``, which writes the same sums into
+    one output array in place."""
+    pole, b = 1.0 + d, _BLOCK
+    if abs(pole) > 1:
+        b = int(np.clip(np.log(np.finfo(float).max) / np.log(abs(pole)), 1, b))
+    k = np.arange(b + 1)
+    # for d <= -1, log1p(d) is not finite but 1 + d is exact
+    pm1 = np.expm1(k * np.log1p(d)) if d > -1 else pole**k - 1.0
+    blocks = np.concatenate([q, np.zeros(-q.size % b)]).reshape(-1, b)
+    z = blocks @ np.triu((1.0 + pm1)[np.abs(k[:b, None] - k[:b])])
+    grow = float(pm1[b])  # a block moves its start s to s + (grow*s + z[B-1])
+    starts = accumulate(z[:-1, -1].tolist(), lambda s, z_end: s + (grow * s + z_end),
+                        initial=float(y0))
+    s = np.fromiter(starts, float)[:, None]
+    return np.concatenate([[float(y0)], (z + (s + pm1[1:] * s)).ravel()[: q.size]])
 
 
 def projection_smooth(data, cfg: SGConfig) -> np.ndarray:

@@ -41,7 +41,15 @@ Proves, among others:
    1e-8 of either end included) and 0 to 300 samples, no less accurate
    than the loop against extended precision at tau/Ts = 1e6 over 2e5
    samples, and, for hand-built poles 1.5, -1.5, 0, -1 and 1e6, finite
-   where the loop is, exactly 0 from zero input and free of NumPy warnings.
+   where the loop is, exactly 0 from zero input and free of NumPy warnings;
+ - that recurrence bit for bit (shape, and NaN in the same places) against
+   ``helpers.concatenated_recurrence``, the blocked form that concatenated
+   its output, for poles 0, 0.5, 1 - 1e-8, -1 + 1e-8, -1, 1.5, -1.5 and 1e6
+   and 0 to 99,999 samples, and the four simulators on a 100,000-sample
+   square wave against outputs built through it;
+ - both simulators return a new writeable array of the input's length from
+   a read-only input, with and without a delay, and leave the input as it
+   was.
 """
 
 import dataclasses
@@ -73,7 +81,7 @@ from thermofit import (
 from thermofit.errors import DataLengthError
 from thermofit.model import _recurrence
 
-from helpers import sequential_recurrence
+from helpers import concatenated_recurrence, sequential_recurrence
 
 BOX = PhysicalParams(
     lamp_constant=2.0,
@@ -710,3 +718,55 @@ def test_blocked_recurrence_on_unstable_and_degenerate_poles(pole):
             pytest.skip("np.longdouble is no wider than float64")
         ref = extended_recurrence(m.pole - 1.0, q, 1.0)[extra]
         assert np.all(np.abs(got[extra] - ref) <= 1e-13 * np.abs(ref))
+
+
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 4097, 99_999])
+@pytest.mark.parametrize("pole", [0.0, 0.5, 1 - 1e-8, -1 + 1e-8, -1.0, 1.5, -1.5, 1e6])
+def test_blocked_recurrence_is_bit_identical_to_its_concatenated_form(pole, n):
+    # the products written into the output array and the starts added there
+    # in place round exactly as the form that concatenated its output:
+    # every bit, overflow to inf and NaN included
+    q = np.random.Generator(np.random.Philox(n)).uniform(-1.0, 1.0, n)
+    want = concatenated_recurrence(pole - 1.0, q, 0.7)
+    assert np.array_equal(_recurrence(pole - 1.0, q, 0.7), want, equal_nan=True)
+
+
+@pytest.mark.parametrize("method", ["tustin", "forward", "backward", "rk4"])
+def test_simulators_are_bit_identical_through_the_concatenated_form(method):
+    # a lamp switched every 1000 samples, 100,000 samples at Ts = 0.1 s:
+    # each simulator's output against its input steps as written out here
+    # (a 3-sample delay on tustin), fed to the concatenated recurrence
+    u = np.repeat(np.tile([100.0, 0.0], 50), 1000)
+    proc = derive_process_params(BOX)
+    if method == "rk4":
+        x = -0.1 / proc.tau
+        d = x * (1.0 + x / 2.0 * (1.0 + x / 3.0 * (1.0 + x / 4.0)))
+        q = -d * BOX.t_ambient - (d * proc.gain) * u[:-1]
+        got = simulate_continuous(BOX, u, 20.0, 0.1)
+    else:
+        delay = 0.3 if method == "tustin" else 0.0
+        m = discretize(dataclasses.replace(proc, dead_time=delay), method, 0.1)
+        k = m.delay_samples
+        shifted = np.concatenate([np.zeros(k), u[: u.size - k]])
+        d, q = m.pole - 1.0, np.convolve(shifted, m.num)[1 : u.size]
+        got = simulate_discrete(m, u, 20.0)
+    assert np.array_equal(got, concatenated_recurrence(d, q, 20.0))
+
+
+@pytest.mark.parametrize("case", ["discrete", "discrete-delay-3", "continuous"])
+def test_simulators_leave_a_read_only_input_as_it_was(case):
+    # without a delay the caller's array goes to np.convolve uncopied; the
+    # output is still a new writeable array and the input keeps every bit
+    u = np.random.Generator(np.random.Philox(11)).uniform(0.0, 100.0, 1000)
+    u.flags.writeable = False
+    before = u.tobytes()
+    if case == "continuous":
+        y = simulate_continuous(BOX, u, 20.0, 1.0)
+    else:
+        delay = 3 if case.endswith("3") else 0
+        m = DiscreteModel(num=(0.5, 0.5), den=(1.0, -0.9), sample_time=1.0,
+                          delay_samples=delay)
+        y = simulate_discrete(m, u, 20.0)
+    assert y.shape == u.shape and y.flags.writeable
+    assert not np.shares_memory(y, u)
+    assert u.tobytes() == before
