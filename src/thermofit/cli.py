@@ -66,7 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
     pipe.add_argument(
         "--output", help="directory for raw/smoothed/overlay CSVs and report.json"
     )
-    _add_fit_opts(pipe, default=901)
+    _add_fit_opts(pipe, default=901, help="smoothing window (odd sample count, "
+                  "default %(default)s); 0 disables smoothing")
     _add_format_opt(pipe)
     pipe.set_defaults(handler=_cmd_pipeline)
 

@@ -299,8 +299,8 @@ def discretize(p: ProcessParams, method: str, sample_time: float) -> DiscreteMod
         g = K / (rho + theta),  pole = (rho - (1 - theta)) / (rho + theta)
 
     and backward drops its zero ``u[n-1]`` tap.  Dead time becomes an integer
-    input delay of ``round(dead_time / Ts)`` samples, rejected when it
-    overflows float64.  Forward is rejected when ``rho <= 0.5``
+    input delay of ``round(dead_time / Ts)`` samples, ties to even, rejected
+    when it overflows float64.  Forward is rejected when ``rho <= 0.5``
     (``Ts >= 2 tau``), where its pole leaves the unit circle; ``DiscreteModel``
     states what else a realization needs.
     """

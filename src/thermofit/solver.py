@@ -118,11 +118,8 @@ class FitResult:
     rejected); ``accepted_steps`` counts actual parameter updates.
     ``converged`` names the test that stopped the run: ``"grad"`` (max-norm
     of J^T W r below tol_grad), ``"step"`` (relative parameter step below
-    1e-10) or ``"max_iter"``.  ``normal_matrix`` is J^T W J at ``params``.
-    ``residuals`` (y - yhat) and ``cost`` (F) are taken at ``params`` against the
-    ``y`` that :func:`lm_fit` was given, in ``fit_series`` the fitting target (the
-    smoothed series when smoothing was applied); ``FitReport.stats`` takes ``sse``
-    and ``rmse`` from the raw record.
+    1e-10) or ``"max_iter"``.  ``normal_matrix`` is J^T W J and ``cost`` is F, both
+    at ``params`` against the ``y`` that :func:`lm_fit` was given.
     """
 
     params: np.ndarray
@@ -130,7 +127,6 @@ class FitResult:
     iterations: int
     accepted_steps: int
     converged: str
-    residuals: np.ndarray
     lambda_final: float
     normal_matrix: np.ndarray = field(repr=False)
 
@@ -247,7 +243,6 @@ def lm_fit(
         iterations=iterations,
         accepted_steps=accepted,
         converged=stop,
-        residuals=_readonly(r),
         lambda_final=lam,
         normal_matrix=_readonly(a),
     )

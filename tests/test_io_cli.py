@@ -95,7 +95,9 @@ Proves:
    ``pipeline --output`` run in a fresh interpreter loads neither SciPy nor
    ``numpy.ma``, and one without ``--output`` in an interpreter started
    without ``site`` loads no ``tempfile``; there, neither ``import
-   thermofit.cli`` nor a ``pipeline --output`` run loads ``pathlib``.
+   thermofit.cli`` nor a ``pipeline --output`` run loads ``pathlib``;
+ - ``--help`` states each command's ``--window`` default: ``pipeline``
+   smooths with 901 unless given 0, and ``fit`` fits raw when it is omitted.
 """
 
 import errno
@@ -1280,6 +1282,17 @@ def test_non_finite_solver_option_exit_code(tmp_path, capsys, argv, message):
     assert code == 4
     assert captured.out == ""
     assert f"error: {message}" in captured.err
+
+
+@pytest.mark.parametrize("command, text", [
+    ("pipeline", "smoothing window (odd sample count, default 901); 0 disables smoothing"),
+    ("fit", "smoothing window (odd sample count); 0 or omitted disables smoothing"),
+])
+def test_help_states_the_window_default(capsys, command, text):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert text in " ".join(capsys.readouterr().out.split())
 
 
 def test_pipeline_command_artifacts_and_schema(tmp_path, capsys):

@@ -16,7 +16,8 @@ Proves, among others:
    and boundedness, and a Python ``float`` for a scalar time;
  - the three discrete realizations (poles and input gains), their unit DC
    gain, the unstable-forward rejection, the rejection of a pole that
-   rounds to 1 or a gain or delay that overflows, and first/second-order
+   rounds to 1 or a gain or delay that overflows, a dead time rounded to
+   whole samples with ties to even (2.5 -> 2, 3.5 -> 4), and first/second-order
    convergence of their step responses toward the continuous one;
  - as a property, every method's pole and input taps against the exact
    theta-method coefficients in rational arithmetic, for tau and Ts
@@ -403,6 +404,10 @@ def test_discretize_dead_time_rounds_to_samples():
     proc = ProcessParams(1.0, 10.0, 0.0, dead_time=2.6)
     assert discretize(proc, "backward", 1.0).delay_samples == 3
     assert discretize(proc, "backward", 2.0).delay_samples == 1
+    # a tie rounds to the even count
+    for dead_time, samples in ((2.5, 2), (3.5, 4)):
+        proc = ProcessParams(1.0, 10.0, 0.0, dead_time=dead_time)
+        assert discretize(proc, "tustin", 1.0).delay_samples == samples
 
 
 def test_dc_gain_equals_static_gain():
