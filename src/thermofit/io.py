@@ -40,6 +40,11 @@ def parse_csv(path) -> TimeSeries:
     NonUniformSamplingError when the spacing strays from the rate, the inverse
     of the median sample spacing (:meth:`TimeSeries.require_uniform`).  A UTF-8
     byte-order mark and CRLF line ends are read as well.
+
+    ``np.loadtxt`` reads the body and TimeSeries judges the record.  On any
+    ValueError (loadtxt's, a UnicodeDecodeError or TimeSeries's) the row loop
+    reads the body again, only to name the bad line: both read a field to the
+    same float, and loadtxt reads no field that ``float()`` rejects.
     """
     try:
         with open(path, encoding="utf-8-sig") as fh:
@@ -50,15 +55,28 @@ def parse_csv(path) -> TimeSeries:
                 raise CsvFormatError(
                     f"expected header {SERIES_HEADER!r}, got {header.strip()!r}", line=1
                 )
-            t, y = _load_body(fh)
+            start = fh.tell()
+            try:  # loadtxt warns on a body without rows; the row loop reports it
+                if not any(line.strip() for line in iter(fh.readline, "")):
+                    raise ValueError("no rows")
+                fh.seek(start)
+                ts = _series(np.loadtxt(fh, delimiter=",", comments=None, ndmin=2).T)
+            except ValueError:
+                fh.seek(start)
+                ts = _series(_parse_rows(fh))
     except UnicodeDecodeError as exc:
         raise CsvFormatError(
             f"file is not UTF-8 text: byte {exc.object[exc.start]:#04x}, {exc.reason}"
         ) from None
-    # a time span that overflows gives rate 0 here; TimeSeries names the span
-    with np.errstate(over="ignore"):
-        rate = 1.0 / _median(np.diff(t))
-    return TimeSeries(t=t, y=y, rate=rate).require_uniform()
+    return ts.require_uniform()
+
+
+def _series(columns) -> TimeSeries:
+    """The record of columns ``t, y`` (else a ValueError) at rate 1 / median spacing."""
+    t, y = columns
+    with np.errstate(all="ignore"):  # a spacing of 0, inf or nan: TimeSeries says why
+        rate = float(np.reciprocal(_median(np.diff(t)))) if t.size > 1 else math.nan
+    return TimeSeries(t=t, y=y, rate=rate)
 
 
 def _median(x: np.ndarray) -> float:
@@ -66,34 +84,6 @@ def _median(x: np.ndarray) -> float:
     lo, hi = (x.size - 1) // 2, x.size // 2
     part = np.partition(x, (lo, hi))
     return float(part[hi] if lo == hi else (part[lo] + part[hi]) / 2)
-
-
-def _load_body(fh) -> tuple[np.ndarray, np.ndarray]:
-    """The time and temperature columns of the rows after the header.
-
-    ``np.loadtxt`` reads a body of at least 2 rows of 2 finite fields with
-    strictly increasing time; any other body goes to ``_parse_rows`` from
-    the first row.  ``np.loadtxt`` rejects some fields ``float()`` reads
-    (``1_5``, non-ASCII digits) but reads none that ``float()`` rejects, and
-    both round correctly; so the row loop decides every body it refuses.
-    """
-    start = fh.tell()
-    try:
-        # loadtxt warns on a body without rows; _parse_rows reports it instead
-        if any(line.strip() for line in iter(fh.readline, "")):
-            fh.seek(start)
-            data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-            if (
-                data.shape[0] >= 2
-                and data.shape[1] == 2
-                and np.isfinite(data).all()
-                and (data[1:, 0] > data[:-1, 0]).all()
-            ):
-                return data[:, 0], data[:, 1]
-    except ValueError:  # UnicodeDecodeError too: the row loop meets it again
-        pass
-    fh.seek(start)
-    return _parse_rows(fh)
 
 
 def _parse_rows(fh) -> tuple[np.ndarray, np.ndarray]:

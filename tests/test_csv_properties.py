@@ -1,7 +1,8 @@
 """parse_csv against its row-by-row reference, checked with hypothesis.
 
-parse_csv reads the body with ``np.loadtxt`` and falls back to the row loop
-``_parse_rows`` when that fails or the result breaks a row rule.  Proves,
+parse_csv reads the body with ``np.loadtxt`` and ``TimeSeries`` judges the
+record; on any ValueError (loadtxt's or ``TimeSeries``'s) the row loop
+``_parse_rows`` reads the body again, only to name the bad line.  Proves,
 on small files that mix valid floats with the fields and lines on which
 ``np.loadtxt`` and ``float()`` disagree (``1_5``, non-ASCII digits) or
 which a row rule rejects (``nan``, ``inf``, ``1e500``, hex, empty fields,
@@ -10,6 +11,9 @@ lines and ``\\n`` or ``\\r\\n`` line endings:
  - parse_csv returns the same arrays as the row loop, bit for bit (the
    sign of zero included), or raises the same exception with the same
    message and line number;
+   so do the bodies at the bounds of that judge: repeated ``-0.0`` times
+   (a spacing of 0), a time that goes back, one data row, three columns, a
+   span that overflows float64 and a subnormal spacing whose inverse does;
  - ``thermofit fit`` on any such file exits 0, 3, 4 or 5 and never raises;
  - the median spacing that sets the inferred rate is the float
    ``np.median`` returns, for 1, 2 and any odd or even count of positive
@@ -83,7 +87,9 @@ def reference_parse(path):
     with open(path, encoding="utf-8") as fh:
         fh.readline()
         t, y = _parse_rows(fh)
-    return TimeSeries(t, y, 1.0 / float(np.median(np.diff(t)))).require_uniform()
+    with np.errstate(over="ignore"):  # a span over float64: TimeSeries names it
+        rate = 1.0 / float(np.median(np.diff(t)))
+    return TimeSeries(t, y, rate).require_uniform()
 
 
 def outcome(parse, path):
@@ -94,9 +100,18 @@ def outcome(parse, path):
     return ts.t.tobytes(), ts.y.tobytes(), ts.rate
 
 
+H = SERIES_HEADER + "\n"
+
+
 @settings(max_examples=500,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=csv_texts())
+@example(text=H + "-0.0,25.0\n-0.0,25.0\n-0.0,25.0\n")  # a rate of 1 / 0
+@example(text=H + "0.0,25.0\n1.0,25.5\n0.5,26.0\n3.0,26.5\n")  # time goes back
+@example(text=H + "0.0,25.0\n")  # one data row: no spacing to take a rate from
+@example(text=H + "0.0,25.0,1.0\n1.0,25.5,1.0\n2.0,26.0,1.0\n")  # three columns
+@example(text=H + "-1e308,25.0\n1e308,25.5\n")  # a span that overflows float64
+@example(text=H + "0.0,25.0\n5e-324,25.5\n1e-323,26.0\n")  # 1 / spacing overflows
 def test_parse_csv_agrees_with_row_loop(tmp_path, capsys, text):
     path = tmp_path / "series.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -11,6 +11,8 @@ Proves:
    without a warning;
  - a file with a UTF-8 byte-order mark and CRLF line ends reads and fits
    like the plain file, and names its bad rows by the same line numbers;
+ - ``parse_csv`` reads a ``write_csv`` record and its byte-order mark and
+   CRLF twin without the row loop, which only a bad body reaches;
  - both writers emit exactly one ``repr`` per value around the boundaries
    of their row blocks, for -0.0, subnormals, large and epoch values, and
    ``write_overlay`` formats a column passed twice once, counted in a
@@ -281,6 +283,29 @@ def test_bom_and_crlf_csv_reads_and_fits_like_the_plain_file(tmp_path, capsys):
     excel.write_bytes(b"\xef\xbb\xbftime_s,temp_c\r\n0,25\r\n0.01,oops\r\n")
     with pytest.raises(CsvFormatError, match="^line 3: non-numeric"):
         parse_csv(excel)
+
+
+def test_a_well_formed_body_never_reaches_the_row_loop(tmp_path, monkeypatch):
+    # the row loop reads about half as fast as np.loadtxt, and a reader that sent
+    # every body to it would give the same outcomes
+    plain = tmp_path / "plain.csv"
+    write_csv(plain, generate(SynthSpec(FitParams(30.0, 25.0, 0.1), rate=2.0,
+                                        duration=19.5, noise_sigma=0.1)))
+    excel = tmp_path / "excel.csv"
+    excel.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes().replace(b"\n", b"\r\n"))
+    want = parse_csv(plain)
+
+    def row_loop(fh):
+        raise AssertionError("the row loop read a well-formed body")
+
+    monkeypatch.setattr(thermofit.io, "_parse_rows", row_loop)
+    for path in (plain, excel):
+        got = parse_csv(path)
+        assert got.t.tobytes() == want.t.tobytes() and got.y.tobytes() == want.y.tobytes()
+        assert got.rate == want.rate
+    excel.write_bytes(b"\xef\xbb\xbftime_s,temp_c\r\n0,25\r\n0.01,oops\r\n")
+    with pytest.raises(AssertionError, match="the row loop read"):
+        parse_csv(excel)  # a bad row does reach the patched loop
 
 
 def test_epoch_timestamps_round_trip_and_fit_like_time_zero(tmp_path):

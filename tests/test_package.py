@@ -18,6 +18,8 @@ Proves:
  - ``NonUniformSamplingError`` is constructed only in
    ``TimeSeries.require_uniform``, which only ``io.parse_csv`` and
    ``pipeline.fit_series`` call, so the uniform grid is required in one place;
+ - inside ``io`` only the row loop ``_parse_rows`` calls ``isfinite``: the
+   record ``np.loadtxt`` reads is judged by ``TimeSeries`` alone;
  - perfbench's tracer installs on the modules ``thermofit.cli`` loads, so a
    refactor that unbinds a traced name fails here;
  - every public class and function a module defines is in its ``__all__``;
@@ -158,6 +160,14 @@ def test_the_uniform_grid_is_required_in_one_place():
     assert owners == ["model.TimeSeries.require_uniform"]
     assert callers_in_source(named("require_uniform")) == ["io.parse_csv",
                                                            "pipeline.fit_series"]
+
+
+def test_only_the_row_loop_restates_a_row_rule_in_io():
+    # TimeSeries judges the record np.loadtxt reads; the row loop tests each value
+    # only to name the line of a bad one
+    callers = callers_in_source(lambda call: "isfinite" in (
+        getattr(call.func, "id", None), getattr(call.func, "attr", None)))
+    assert {owner for owner in callers if owner.startswith("io.")} == {"io._parse_rows"}
 
 
 def test_the_benchmark_tracer_installs_on_the_cli_modules():
