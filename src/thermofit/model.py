@@ -334,14 +334,20 @@ def _recurrence(d: float, q: np.ndarray, y0: float) -> np.ndarray:
     carries the blocks' start ``s``, added in place as ``s + pm1[k]*s`` with
     ``pm1[k] = expm1(k log1p(d))`` (the sums of ``z + (s + pm1[k]*s)``, in
     their order): this increment form keeps the digits that rounding ``1 + d``
-    loses near pole 1.  B shrinks so that ``|1 + d|**B`` stays finite."""
-    pole, b = 1.0 + d, _BLOCK
+    loses near pole 1.  B shrinks so that ``|1 + d|**B`` stays finite.
+
+    ``q`` is consumed: it must be a float64 array that owns its data and that
+    nothing else reads.  It is grown in place to whole blocks (the new entries
+    are 0) and, once the product has read it, reused for the starts' terms,
+    so a call holds two full-length arrays, ``q`` and the output."""
+    pole, b, n = 1.0 + d, _BLOCK, q.size
     if abs(pole) > 1:
         b = int(np.clip(np.log(np.finfo(float).max) / np.log(abs(pole)), 1, b))
     k = np.arange(b + 1)
     # for d <= -1, log1p(d) is not finite but 1 + d is exact
     pm1 = np.expm1(k * np.log1p(d)) if d > -1 else pole**k - 1.0
-    blocks = np.concatenate([q, np.zeros(-q.size % b)]).reshape(-1, b)
+    q.resize(n + -n % b, refcheck=False)
+    blocks = q.reshape(-1, b)
     toeplitz = np.triu((1.0 + pm1)[np.abs(k[:b, None] - k[:b])])
     y = np.empty(blocks.size + 1)
     y[0] = y0
@@ -350,9 +356,9 @@ def _recurrence(d: float, q: np.ndarray, y0: float) -> np.ndarray:
     starts = accumulate(z[:-1, -1].tolist(), lambda s, z_end: s + (grow * s + z_end),
                         initial=float(y0))
     s = np.fromiter(starts, float)[:, None]
-    w = pm1[1:] * s
+    w = np.multiply(pm1[1:], s, out=blocks)
     z += np.add(w, s, out=w)
-    return y[: q.size + 1]
+    return y[: n + 1]
 
 
 def simulate_discrete(m: DiscreteModel, inputs, initial_temp: float) -> np.ndarray:
@@ -367,7 +373,10 @@ def simulate_discrete(m: DiscreteModel, inputs, initial_temp: float) -> np.ndarr
         raise DataLengthError("input must be a non-empty 1-d sequence")
     if d := min(int(m.delay_samples), u.size):
         u = np.concatenate([np.zeros(d), u[: u.size - d]])
-    return _recurrence(m.pole - 1.0, np.convolve(u, m.num)[1 : u.size], initial_temp)
+    q = np.convolve(u, m.num)  # q[i + 1] is the forcing of step i
+    q[:-1] = q[1:]  # moved down in place (a memmove): _recurrence takes q over
+    q.resize(u.size - 1, refcheck=False)
+    return _recurrence(m.pole - 1.0, q, initial_temp)
 
 
 def simulate_continuous(

@@ -49,11 +49,15 @@ Proves, among others:
    and 0 to 99,999 samples, and the four simulators on a 100,000-sample
    square wave against outputs built through it;
  - both simulators return a new writeable array of the input's length from
-   a read-only input, with and without a delay, and leave the input as it
-   was.
+   a read-only or a writeable input, with and without a delay, and leave
+   the input as it was;
+ - each of the four simulators holds two full-length arrays at a time (three
+   with a delay): the peak of traced allocations over a 100,000-sample call
+   is at most 2.5x the input's bytes (3.5x with a 3-sample delay).
 """
 
 import dataclasses
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -678,7 +682,7 @@ def test_blocked_recurrence_matches_sequential_loop(pole, q, y0):
     # scale, which is taken as at least the smallest normal float: below it
     # float64 resolves only absolute steps of 5e-324
     want = sequential_recurrence(pole - 1.0, q, y0)
-    got = _recurrence(pole - 1.0, q, y0)
+    got = _recurrence(pole - 1.0, q.copy(), y0)
     assert got.shape == want.shape == (q.size + 1,)
     scale = max(np.max(np.abs(want)), np.finfo(float).tiny)
     assert np.max(np.abs(got - want)) <= 1e-13 * scale
@@ -733,7 +737,7 @@ def test_blocked_recurrence_is_bit_identical_to_its_concatenated_form(pole, n):
     # every bit, overflow to inf and NaN included
     q = np.random.Generator(np.random.Philox(n)).uniform(-1.0, 1.0, n)
     want = concatenated_recurrence(pole - 1.0, q, 0.7)
-    assert np.array_equal(_recurrence(pole - 1.0, q, 0.7), want, equal_nan=True)
+    assert np.array_equal(_recurrence(pole - 1.0, q.copy(), 0.7), want, equal_nan=True)
 
 
 @pytest.mark.parametrize("method", ["tustin", "forward", "backward", "rk4"])
@@ -758,12 +762,9 @@ def test_simulators_are_bit_identical_through_the_concatenated_form(method):
     assert np.array_equal(got, concatenated_recurrence(d, q, 20.0))
 
 
-@pytest.mark.parametrize("case", ["discrete", "discrete-delay-3", "continuous"])
-def test_simulators_leave_a_read_only_input_as_it_was(case):
-    # without a delay the caller's array goes to np.convolve uncopied; the
-    # output is still a new writeable array and the input keeps every bit
-    u = np.random.Generator(np.random.Philox(11)).uniform(0.0, 100.0, 1000)
-    u.flags.writeable = False
+def simulate_case(case, u):
+    """Run the simulator that ``case`` names on ``u``; the output must be a
+    new writeable array of ``u``'s length and ``u`` must keep every bit."""
     before = u.tobytes()
     if case == "continuous":
         y = simulate_continuous(BOX, u, 20.0, 1.0)
@@ -775,3 +776,47 @@ def test_simulators_leave_a_read_only_input_as_it_was(case):
     assert y.shape == u.shape and y.flags.writeable
     assert not np.shares_memory(y, u)
     assert u.tobytes() == before
+
+
+@pytest.mark.parametrize("case", ["discrete", "discrete-delay-3", "continuous"])
+def test_simulators_leave_a_read_only_input_as_it_was(case):
+    # without a delay the caller's array goes to np.convolve uncopied; the
+    # output is still a new writeable array and the input keeps every bit
+    u = np.random.Generator(np.random.Philox(11)).uniform(0.0, 100.0, 1000)
+    u.flags.writeable = False
+    simulate_case(case, u)
+
+
+@pytest.mark.parametrize("case", ["discrete", "discrete-delay-3", "continuous"])
+def test_simulators_leave_a_writeable_input_as_it_was(case):
+    # _recurrence grows and overwrites the forcing array it is given; a
+    # writeable array that owns its data is what it could resize in place,
+    # so the caller's must never reach it
+    u = np.random.Generator(np.random.Philox(11)).uniform(0.0, 100.0, 1000)
+    assert u.flags.writeable and u.flags.owndata
+    simulate_case(case, u)
+
+
+@pytest.mark.parametrize("method, delay, ratio", [
+    ("tustin", 0, 2.5), ("forward", 0, 2.5), ("backward", 0, 2.5), ("rk4", 0, 2.5),
+    ("tustin", 3, 3.5),
+])
+def test_simulators_hold_two_full_length_arrays(method, delay, ratio):
+    # the forcing array, grown in place and reused, and the output: the
+    # peak of traced allocations over one call is about 2.2x the input's
+    # bytes, 3.2x with a delay, which adds the shifted input
+    u = np.repeat(np.tile([100.0, 0.0], 50), 1000)
+    proc = dataclasses.replace(derive_process_params(BOX), dead_time=0.1 * delay)
+    if method == "rk4":
+        simulate, args = simulate_continuous, (BOX, u, 20.0, 0.1)
+    else:
+        m = discretize(proc, method, 0.1)
+        assert m.delay_samples == delay
+        simulate, args = simulate_discrete, (m, u, 20.0)
+    tracemalloc.start()
+    try:
+        simulate(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= ratio * u.nbytes, peak / u.nbytes
