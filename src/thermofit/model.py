@@ -16,7 +16,6 @@ with ``a = f(0)``, ``b = f(infinity)`` and ``c = 1 / tau``.
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -43,6 +42,7 @@ __all__ = [
 _THETA = {"tustin": 0.5, "forward": 0.0, "backward": 1.0}  # see discretize
 DISCRETIZATION_METHODS = tuple(_THETA)
 _BLOCK = 64  # samples per block of _recurrence
+_CHUNK = 128  # blocks per product of _recurrence: a 64 KB scratch
 
 
 def _require_finite(obj, *names: str) -> None:
@@ -326,38 +326,52 @@ def discretize(p: ProcessParams, method: str, sample_time: float) -> DiscreteMod
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an unstable pole overflows
-def _recurrence(d: float, q: np.ndarray, y0: float) -> np.ndarray:
-    """``y[0] = y0``, ``y[i+1] = y[i] + (d*y[i] + q[i])``, in blocks of B = 64.
+def _recurrence(d: float, y: np.ndarray, n: int) -> np.ndarray:
+    """``y[i+1] = y[i] + (d*y[i] + q[i])`` for n steps, in blocks of B = 64.
 
     A block's response from a zero start, ``z``, is one product with the
-    Toeplitz matrix of pole powers, written into the output array; a scan
-    carries the blocks' start ``s``, added in place as ``s + pm1[k]*s`` with
-    ``pm1[k] = expm1(k log1p(d))`` (the sums of ``z + (s + pm1[k]*s)``, in
-    their order): this increment form keeps the digits that rounding ``1 + d``
-    loses near pole 1.  B shrinks so that ``|1 + d|**B`` stays finite.
+    Toeplitz matrix of pole powers; a scan carries the blocks' start ``s``,
+    added as ``s + pm1[k]*s`` with ``pm1[k] = expm1(k log1p(d))`` (the sums of
+    ``z + (s + pm1[k]*s)``, in their order): this increment form keeps the
+    digits that rounding ``1 + d`` loses near pole 1.  B shrinks so that
+    ``|1 + d|**B`` stays finite.
 
-    ``q`` is consumed: it must be a float64 array that owns its data and that
-    nothing else reads.  It is grown in place to whole blocks (the new entries
-    are 0) and, once the product has read it, reused for the starts' terms,
-    so a call holds two full-length arrays, ``q`` and the output."""
-    pole, b, n = 1.0 + d, _BLOCK, q.size
+    ``y`` comes in holding ``y0`` and then the forcing, ``q[i]`` in ``y[i+1]``
+    (entries past ``y[n]`` are ignored), and is worked on in place: it must be
+    a C-contiguous float64 array that nothing else reads.  It is walked in
+    chunks of _CHUNK blocks: a chunk's product goes into one scratch array and
+    the sums back into the chunk (a short last block runs zero-padded in a
+    copy), so a call holds one full-length array.  OpenBLAS runs such a
+    product on one thread: the bits do not depend on its thread count."""
+    pole, b = 1.0 + d, _BLOCK
     if abs(pole) > 1:
         b = int(np.clip(np.log(np.finfo(float).max) / np.log(abs(pole)), 1, b))
     k = np.arange(b + 1)
     # for d <= -1, log1p(d) is not finite but 1 + d is exact
     pm1 = np.expm1(k * np.log1p(d)) if d > -1 else pole**k - 1.0
-    q.resize(n + -n % b, refcheck=False)
-    blocks = q.reshape(-1, b)
     toeplitz = np.triu((1.0 + pm1)[np.abs(k[:b, None] - k[:b])])
-    y = np.empty(blocks.size + 1)
-    y[0] = y0
-    z = np.matmul(blocks, toeplitz, out=y[1:].reshape(blocks.shape))
     grow = float(pm1[b])  # a block moves its start s to s + (grow*s + z[B-1])
-    starts = accumulate(z[:-1, -1].tolist(), lambda s, z_end: s + (grow * s + z_end),
-                        initial=float(y0))
-    s = np.fromiter(starts, float)[:, None]
-    w = np.multiply(pm1[1:], s, out=blocks)
-    z += np.add(w, s, out=w)
+    nb, start = -(-n // b), float(y[0])
+    scratch = np.empty((min(nb, _CHUNK), b))
+    # NumPy sends a one-block product to gemv, which rounds otherwise: a last
+    # chunk of one block takes the 8 before it, so each chunk starts at 8k rows
+    ends = [end - 8 * (end == nb - 1) for end in range(_CHUNK, nb, _CHUNK)]
+    for lo, hi in zip([0, *ends], [*ends, nb]):
+        q = y[1 + lo * b : 1 + min(hi * b, n)]  # the chunk's forcing, then its output
+        padded = q.size < (hi - lo) * b
+        chunk = np.zeros((hi - lo, b)) if padded else q.reshape(-1, b)
+        if padded:
+            chunk.ravel()[: q.size] = q
+        z = np.matmul(chunk, toeplitz, out=scratch[: hi - lo])
+        starts = []
+        for z_end in z[:, -1].tolist():
+            starts.append(start)
+            start += grow * start + z_end
+        s = np.array(starts)[:, None]
+        w = np.multiply(pm1[1:], s, out=chunk)  # the product has read the forcing
+        np.add(z, np.add(w, s, out=w), out=w)
+        if padded:
+            q[:] = chunk.ravel()[: q.size]
     return y[: n + 1]
 
 
@@ -373,10 +387,9 @@ def simulate_discrete(m: DiscreteModel, inputs, initial_temp: float) -> np.ndarr
         raise DataLengthError("input must be a non-empty 1-d sequence")
     if d := min(int(m.delay_samples), u.size):
         u = np.concatenate([np.zeros(d), u[: u.size - d]])
-    q = np.convolve(u, m.num)  # q[i + 1] is the forcing of step i
-    q[:-1] = q[1:]  # moved down in place (a memmove): _recurrence takes q over
-    q.resize(u.size - 1, refcheck=False)
-    return _recurrence(m.pole - 1.0, q, initial_temp)
+    y = np.convolve(u, m.num)  # y[i + 1] is the forcing of step i
+    y[0] = initial_temp
+    return _recurrence(m.pole - 1.0, y, u.size - 1)
 
 
 def simulate_continuous(
@@ -407,5 +420,8 @@ def simulate_continuous(
             f"RK4 unstable: sample_time={sample_time} is beyond about 2.785*tau "
             f"(tau={proc.tau})"
         )
-    q = (d * proc.gain) * u[:-1]  # the forcing -d*t_ambient - d*K*u, built in q
-    return _recurrence(d, np.subtract(-d * p.t_ambient, q, out=q), initial_temp)
+    y = np.empty(u.size)  # y[i + 1] takes the forcing -d*t_ambient - d*K*u[i]
+    y[0] = initial_temp
+    np.multiply(d * proc.gain, u[:-1], out=y[1:])
+    np.subtract(-d * p.t_ambient, y[1:], out=y[1:])
+    return _recurrence(d, y, u.size - 1)

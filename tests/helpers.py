@@ -18,7 +18,7 @@ from thermofit import (
     sg_projection,
     step_response,
 )
-from thermofit.model import _BLOCK
+from thermofit.model import _BLOCK, _CHUNK
 
 
 class LinearModel(ResidualModel):
@@ -146,7 +146,9 @@ def concatenated_recurrence(d: float, q: np.ndarray, y0: float) -> np.ndarray:
     """The simulators' blocked recurrence with its output assembled by
     ``np.concatenate`` from ``z + (s + pm1[k]*s)``: the bit-for-bit
     reference for ``model._recurrence``, which writes the same sums into
-    one output array in place."""
+    one output array in place.  The block product is formed in the same
+    chunks of at most ``_CHUNK`` blocks (a last chunk of one block takes the
+    8 before it), which keep its bits off the BLAS thread count."""
     pole, b = 1.0 + d, _BLOCK
     if abs(pole) > 1:
         b = int(np.clip(np.log(np.finfo(float).max) / np.log(abs(pole)), 1, b))
@@ -154,7 +156,11 @@ def concatenated_recurrence(d: float, q: np.ndarray, y0: float) -> np.ndarray:
     # for d <= -1, log1p(d) is not finite but 1 + d is exact
     pm1 = np.expm1(k * np.log1p(d)) if d > -1 else pole**k - 1.0
     blocks = np.concatenate([q, np.zeros(-q.size % b)]).reshape(-1, b)
-    z = blocks @ np.triu((1.0 + pm1)[np.abs(k[:b, None] - k[:b])])
+    toeplitz = np.triu((1.0 + pm1)[np.abs(k[:b, None] - k[:b])])
+    nb = len(blocks)
+    ends = [end - 8 * (end == nb - 1) for end in range(_CHUNK, nb, _CHUNK)]
+    bounds = zip([0, *ends], [*ends, nb])
+    z = np.concatenate([blocks[lo:hi] @ toeplitz for lo, hi in bounds])
     grow = float(pm1[b])  # a block moves its start s to s + (grow*s + z[B-1])
     starts = accumulate(z[:-1, -1].tolist(), lambda s, z_end: s + (grow * s + z_end),
                         initial=float(y0))

@@ -45,18 +45,27 @@ Proves, among others:
    where the loop is, exactly 0 from zero input and free of NumPy warnings;
  - that recurrence bit for bit (shape, and NaN in the same places) against
    ``helpers.concatenated_recurrence``, the blocked form that concatenated
-   its output, for poles 0, 0.5, 1 - 1e-8, -1 + 1e-8, -1, 1.5, -1.5 and 1e6
-   and 0 to 99,999 samples, and the four simulators on a 100,000-sample
-   square wave against outputs built through it;
+   its output and forms its products in the same chunks of at most 128
+   blocks, for poles 0, 0.5, 1 - 1e-8, -1 + 1e-8, -1, 1.5, -1.5 and 1e6
+   and 0 to 99,999 samples (8,192, 8,193, 8,256 and 16,449 at chunk edges),
+   and the four simulators on a 100,000-sample square wave against outputs
+   built through it;
+ - the four simulators' output bytes are the same with one and two BLAS
+   threads under OpenBLAS's Haswell kernels (skipped without AVX2 or a
+   second CPU);
  - both simulators return a new writeable array of the input's length from
    a read-only or a writeable input, with and without a delay, and leave
    the input as it was;
- - each of the four simulators holds two full-length arrays at a time (three
+ - each of the four simulators holds one full-length array at a time (two
    with a delay): the peak of traced allocations over a 100,000-sample call
-   is at most 2.5x the input's bytes (3.5x with a 3-sample delay).
+   is at most 1.5x the input's bytes (2.5x with a 3-sample delay), and so
+   within the older two-array bound of 2.5x (3.5x).
 """
 
 import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -682,7 +691,7 @@ def test_blocked_recurrence_matches_sequential_loop(pole, q, y0):
     # scale, which is taken as at least the smallest normal float: below it
     # float64 resolves only absolute steps of 5e-324
     want = sequential_recurrence(pole - 1.0, q, y0)
-    got = _recurrence(pole - 1.0, q.copy(), y0)
+    got = _recurrence(pole - 1.0, np.concatenate([[y0], q]), q.size)
     assert got.shape == want.shape == (q.size + 1,)
     scale = max(np.max(np.abs(want)), np.finfo(float).tiny)
     assert np.max(np.abs(got - want)) <= 1e-13 * scale
@@ -729,15 +738,17 @@ def test_blocked_recurrence_on_unstable_and_degenerate_poles(pole):
         assert np.all(np.abs(got[extra] - ref) <= 1e-13 * np.abs(ref))
 
 
-@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 4097, 99_999])
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 4097, 8192, 8193, 8256, 16449, 99_999])
 @pytest.mark.parametrize("pole", [0.0, 0.5, 1 - 1e-8, -1 + 1e-8, -1.0, 1.5, -1.5, 1e6])
 def test_blocked_recurrence_is_bit_identical_to_its_concatenated_form(pole, n):
-    # the products written into the output array and the starts added there
-    # in place round exactly as the form that concatenated its output:
-    # every bit, overflow to inf and NaN included
+    # the products of chunks of 128 blocks (at 8192 samples and past it; a
+    # last chunk of one block takes the 8 before it) and the starts added in
+    # place round exactly as the form that concatenated its output: every
+    # bit, overflow to inf and NaN included
     q = np.random.Generator(np.random.Philox(n)).uniform(-1.0, 1.0, n)
     want = concatenated_recurrence(pole - 1.0, q, 0.7)
-    assert np.array_equal(_recurrence(pole - 1.0, q.copy(), 0.7), want, equal_nan=True)
+    got = _recurrence(pole - 1.0, np.concatenate([[0.7], q]), n)
+    assert np.array_equal(got, want, equal_nan=True)
 
 
 @pytest.mark.parametrize("method", ["tustin", "forward", "backward", "rk4"])
@@ -789,22 +800,17 @@ def test_simulators_leave_a_read_only_input_as_it_was(case):
 
 @pytest.mark.parametrize("case", ["discrete", "discrete-delay-3", "continuous"])
 def test_simulators_leave_a_writeable_input_as_it_was(case):
-    # _recurrence grows and overwrites the forcing array it is given; a
-    # writeable array that owns its data is what it could resize in place,
-    # so the caller's must never reach it
+    # _recurrence overwrites the array it is given, so the caller's must
+    # never reach it
     u = np.random.Generator(np.random.Philox(11)).uniform(0.0, 100.0, 1000)
     assert u.flags.writeable and u.flags.owndata
     simulate_case(case, u)
 
 
-@pytest.mark.parametrize("method, delay, ratio", [
-    ("tustin", 0, 2.5), ("forward", 0, 2.5), ("backward", 0, 2.5), ("rk4", 0, 2.5),
-    ("tustin", 3, 3.5),
-])
-def test_simulators_hold_two_full_length_arrays(method, delay, ratio):
-    # the forcing array, grown in place and reused, and the output: the
-    # peak of traced allocations over one call is about 2.2x the input's
-    # bytes, 3.2x with a delay, which adds the shifted input
+def traced_peak(method, delay):
+    """The peak of traced allocations over one call of ``method`` (with a
+    ``delay``-sample dead time) on a 100,000-sample square wave, and the
+    input's bytes."""
     u = np.repeat(np.tile([100.0, 0.0], 50), 1000)
     proc = dataclasses.replace(derive_process_params(BOX), dead_time=0.1 * delay)
     if method == "rk4":
@@ -816,7 +822,65 @@ def test_simulators_hold_two_full_length_arrays(method, delay, ratio):
     tracemalloc.start()
     try:
         simulate(*args)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1], u.nbytes
     finally:
         tracemalloc.stop()
-    assert peak <= ratio * u.nbytes, peak / u.nbytes
+
+
+@pytest.mark.parametrize("method, delay, ratio", [
+    ("tustin", 0, 2.5), ("forward", 0, 2.5), ("backward", 0, 2.5), ("rk4", 0, 2.5),
+    ("tustin", 3, 3.5),
+])
+def test_simulators_hold_two_full_length_arrays(method, delay, ratio):
+    # at most the output and one more full-length array: 2.5x the input's
+    # bytes, 3.5x with a delay, which adds the shifted input
+    peak, nbytes = traced_peak(method, delay)
+    assert peak <= ratio * nbytes, peak / nbytes
+
+
+@pytest.mark.parametrize("method, delay, ratio", [
+    ("tustin", 0, 1.5), ("forward", 0, 1.5), ("backward", 0, 1.5), ("rk4", 0, 1.5),
+    ("tustin", 3, 2.5),
+])
+def test_simulators_hold_one_full_length_array(method, delay, ratio):
+    # the output, which comes in holding the forcing, and a 64 KB scratch for
+    # the block products: the peak is about 1.4x the input's bytes, 2.4x with
+    # a delay, which adds the shifted input
+    peak, nbytes = traced_peak(method, delay)
+    assert peak <= ratio * nbytes, peak / nbytes
+
+
+SIMULATE_FOUR = """
+import hashlib
+import numpy as np
+from thermofit import PhysicalParams, derive_process_params, discretize
+from thermofit import simulate_continuous, simulate_discrete
+box = PhysicalParams(2.0, 1.0, 20.0, 1.2, 1005.0, 20.0)  # tau = 60.3 s
+u = np.repeat(np.tile([100.0, 0.0], 50), 1000)
+outs = [simulate_discrete(discretize(derive_process_params(box), m, 0.1), u, 0.0)
+        for m in ("tustin", "forward", "backward")]
+outs.append(simulate_continuous(box, u, 20.0, 0.1))
+print(*(hashlib.sha256(y.tobytes()).hexdigest() for y in outs))
+"""
+
+
+def _has_avx2():
+    try:
+        with open("/proc/cpuinfo") as f:
+            return "avx2" in f.read().split()
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not _has_avx2(), reason="OpenBLAS's Haswell kernels need AVX2")
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a second BLAS thread needs 2 CPUs")
+def test_simulators_bits_do_not_depend_on_the_blas_thread_count():
+    # OpenBLAS's Haswell kernels split a product of more than 128 rows of
+    # blocks between threads, and the split moves the bits of a row; the
+    # simulators' products of at most 128 blocks run on one thread
+    def run(threads):
+        env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        return subprocess.run([sys.executable, "-c", SIMULATE_FOUR], env=env, check=True,
+                              capture_output=True, text=True).stdout.split()
+    assert run("1") == run("2")
